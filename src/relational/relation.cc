@@ -75,15 +75,25 @@ std::string StringRelation::ToString() const {
   return out;
 }
 
+Status Database::CheckTuple(const std::string& name, int arity,
+                            const Tuple& t) const {
+  if (static_cast<int>(t.size()) != arity) {
+    return Status::InvalidArgument("tuple arity " + std::to_string(t.size()) +
+                                   " differs from relation arity " +
+                                   std::to_string(arity));
+  }
+  for (const std::string& s : t) {
+    if (!alphabet_.Contains(s)) {
+      return Status::InvalidArgument("string \"" + s + "\" in relation '" +
+                                     name + "' leaves the database alphabet");
+    }
+  }
+  return Status::OK();
+}
+
 Status Database::Put(const std::string& name, StringRelation relation) {
   for (const Tuple& t : relation.tuples()) {
-    for (const std::string& s : t) {
-      if (!alphabet_.Contains(s)) {
-        return Status::InvalidArgument("string \"" + s + "\" in relation '" +
-                                       name +
-                                       "' leaves the database alphabet");
-      }
-    }
+    STRDB_RETURN_IF_ERROR(CheckTuple(name, relation.arity(), t));
   }
   relations_.insert_or_assign(name, std::move(relation));
   epochs_[name] = NextStatsEpoch();
@@ -106,19 +116,7 @@ Status Database::InsertTuples(const std::string& name,
   // Validate everything before mutating so a failed call leaves the
   // relation untouched.
   for (const Tuple& t : tuples) {
-    if (static_cast<int>(t.size()) != it->second.arity()) {
-      return Status::InvalidArgument(
-          "tuple arity " + std::to_string(t.size()) +
-          " differs from relation arity " +
-          std::to_string(it->second.arity()));
-    }
-    for (const std::string& s : t) {
-      if (!alphabet_.Contains(s)) {
-        return Status::InvalidArgument("string \"" + s + "\" in relation '" +
-                                       name +
-                                       "' leaves the database alphabet");
-      }
-    }
+    STRDB_RETURN_IF_ERROR(CheckTuple(name, it->second.arity(), t));
   }
   for (Tuple& t : tuples) {
     STRDB_RETURN_IF_ERROR(it->second.Insert(std::move(t)));

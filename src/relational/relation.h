@@ -72,6 +72,11 @@ class Database {
   // arity and alphabet are checked as in Put).
   Status InsertTuples(const std::string& name, std::vector<Tuple> tuples);
 
+  // The check Put and InsertTuples run on every tuple before mutating:
+  // `t` has `arity` components, each over the database alphabet.  The
+  // error text names relation `name`.
+  Status CheckTuple(const std::string& name, int arity, const Tuple& t) const;
+
   // Drops relation `name`; kNotFound when it does not exist.
   Status Remove(const std::string& name);
 

@@ -8,41 +8,19 @@
 namespace strdb {
 
 SharedCatalog::SharedCatalog(Alphabet alphabet)
-    : alphabet_(std::move(alphabet)), db_(alphabet_) {
-  snapshot_ = std::make_shared<const Database>(db_);
-  stats_snapshot_ = std::make_shared<const StatsMap>();
-}
-
-std::shared_ptr<const Database> SharedCatalog::Snapshot() const {
-  // snapshot_mu_ is only ever held for pointer swaps and this read, so
-  // a reader grabbing its snapshot never queues behind a WAL fsync the
-  // writer is sitting in (the writer holds mu_, not snapshot_mu_,
-  // across I/O).  The store's SnapshotDb() makes the same guarantee on
-  // its side.
-  std::lock_guard<std::mutex> lock(snapshot_mu_);
-  return live_store_ != nullptr ? live_store_->SnapshotDb() : snapshot_;
-}
-
-void SharedCatalog::SnapshotState(
-    std::shared_ptr<const Database>* db,
-    std::shared_ptr<const PagedSet>* paged) const {
-  SnapshotState(db, paged, nullptr);
-}
+    : alphabet_(std::move(alphabet)),
+      store_(CatalogStore::InMemory(alphabet_)) {}
 
 void SharedCatalog::SnapshotState(
     std::shared_ptr<const Database>* db,
     std::shared_ptr<const PagedSet>* paged,
     std::shared_ptr<const StatsMap>* stats) const {
-  static const std::shared_ptr<const PagedSet> kEmptyPaged =
-      std::make_shared<const PagedSet>();
-  std::lock_guard<std::mutex> lock(snapshot_mu_);
-  if (live_store_ != nullptr) {
-    live_store_->SnapshotState(db, paged, stats);
-    return;
-  }
-  *db = snapshot_;
-  *paged = kEmptyPaged;
-  if (stats != nullptr) *stats = stats_snapshot_;
+  // store_mu_ is only ever held for this read and OpenDurable's pointer
+  // swap, so a reader grabbing its snapshot never queues behind a WAL
+  // fsync the writer is sitting in (the writer holds mu_, not
+  // store_mu_, across I/O).  The store makes the same guarantee inside.
+  std::lock_guard<std::mutex> lock(store_mu_);
+  store_->SnapshotState(db, paged, stats);
 }
 
 void SharedCatalog::set_store_options(const StoreOptions& options) {
@@ -52,110 +30,38 @@ void SharedCatalog::set_store_options(const StoreOptions& options) {
 
 bool SharedCatalog::PagerStatus(PagerStats* stats, int64_t* capacity_bytes,
                                 size_t* spilled) const {
-  std::lock_guard<std::mutex> lock(snapshot_mu_);
-  if (live_store_ == nullptr) return false;
-  if (stats != nullptr) *stats = live_store_->pager_stats();
+  std::lock_guard<std::mutex> lock(mu_);
+  if (!store_->durable()) return false;
+  if (stats != nullptr) *stats = store_->pager_stats();
   if (capacity_bytes != nullptr) {
-    *capacity_bytes = live_store_->pager_capacity_bytes();
+    *capacity_bytes = store_->pager_capacity_bytes();
   }
-  if (spilled != nullptr) *spilled = live_store_->PagedDb()->size();
+  if (spilled != nullptr) *spilled = store_->PagedDb()->size();
   return true;
-}
-
-void SharedCatalog::PublishLocked() {
-  auto fresh = std::make_shared<const Database>(db_);
-  // Recomputing stats on publish matches the cost of the catalog copy
-  // itself (both walk every tuple); the store path maintains them
-  // incrementally instead.
-  auto fresh_stats = std::make_shared<StatsMap>();
-  for (const auto& [name, rel] : db_.relations()) {
-    (*fresh_stats)[name] = ComputeRelationStats(rel);
-  }
-  std::lock_guard<std::mutex> lock(snapshot_mu_);
-  snapshot_ = std::move(fresh);
-  stats_snapshot_ = std::move(fresh_stats);
-}
-
-Status SharedCatalog::PutRelation(const std::string& name, int arity,
-                                  std::vector<Tuple> tuples) {
-  return PutRelation(name, arity, std::move(tuples), ReqId{}, nullptr);
 }
 
 Status SharedCatalog::PutRelation(const std::string& name, int arity,
                                   std::vector<Tuple> tuples, const ReqId& req,
                                   bool* deduped) {
-  if (deduped != nullptr) *deduped = false;
   std::lock_guard<std::mutex> lock(mu_);
-  if (store_ != nullptr) {
-    return store_->PutRelation(name, arity, std::move(tuples), req, deduped);
-  }
-  if (AlreadyAppliedLocked(req)) {
-    if (deduped != nullptr) *deduped = true;
-    return Status::OK();
-  }
-  STRDB_RETURN_IF_ERROR(db_.Put(name, arity, std::move(tuples)));
-  RecordReqLocked(req);
-  PublishLocked();
-  return Status::OK();
-}
-
-Status SharedCatalog::InsertTuples(const std::string& name,
-                                   std::vector<Tuple> tuples) {
-  return InsertTuples(name, std::move(tuples), ReqId{}, nullptr);
+  return store_->PutRelation(name, arity, std::move(tuples), req, deduped);
 }
 
 Status SharedCatalog::InsertTuples(const std::string& name,
                                    std::vector<Tuple> tuples,
                                    const ReqId& req, bool* deduped) {
-  if (deduped != nullptr) *deduped = false;
   std::lock_guard<std::mutex> lock(mu_);
-  if (store_ != nullptr) {
-    return store_->InsertTuples(name, std::move(tuples), req, deduped);
-  }
-  if (AlreadyAppliedLocked(req)) {
-    if (deduped != nullptr) *deduped = true;
-    return Status::OK();
-  }
-  STRDB_RETURN_IF_ERROR(db_.InsertTuples(name, std::move(tuples)));
-  RecordReqLocked(req);
-  PublishLocked();
-  return Status::OK();
-}
-
-Status SharedCatalog::DropRelation(const std::string& name) {
-  return DropRelation(name, ReqId{}, nullptr);
+  return store_->InsertTuples(name, std::move(tuples), req, deduped);
 }
 
 Status SharedCatalog::DropRelation(const std::string& name, const ReqId& req,
                                    bool* deduped) {
-  if (deduped != nullptr) *deduped = false;
   std::lock_guard<std::mutex> lock(mu_);
-  if (store_ != nullptr) return store_->DropRelation(name, req, deduped);
-  if (AlreadyAppliedLocked(req)) {
-    if (deduped != nullptr) *deduped = true;
-    return Status::OK();
-  }
-  STRDB_RETURN_IF_ERROR(db_.Remove(name));
-  RecordReqLocked(req);
-  PublishLocked();
-  return Status::OK();
-}
-
-bool SharedCatalog::AlreadyAppliedLocked(const ReqId& req) const {
-  if (!req.valid()) return false;
-  auto it = applied_reqs_.find(req.client);
-  return it != applied_reqs_.end() && it->second >= req.seq;
-}
-
-void SharedCatalog::RecordReqLocked(const ReqId& req) {
-  if (!req.valid()) return;
-  uint64_t& cur = applied_reqs_[req.client];
-  if (req.seq > cur) cur = req.seq;
+  return store_->DropRelation(name, req, deduped);
 }
 
 std::map<std::string, std::string> SharedCatalog::LostRelations() const {
   std::lock_guard<std::mutex> lock(mu_);
-  if (store_ == nullptr) return {};
   return store_->LostRelations();
 }
 
@@ -167,7 +73,7 @@ Status SharedCatalog::ScrubNow(ScrubReport* report) {
   {
     std::lock_guard<std::mutex> lock(mu_);
     store = store_.get();
-    if (store == nullptr) {
+    if (!store->durable()) {
       return Status::InvalidArgument("no durable session; nothing to scrub");
     }
   }
@@ -176,27 +82,28 @@ Status SharedCatalog::ScrubNow(ScrubReport* report) {
 
 bool SharedCatalog::durable() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return store_ != nullptr;
+  return store_->durable();
 }
 
 std::string SharedCatalog::durable_dir() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return store_ != nullptr ? store_->dir() : std::string();
+  return store_->dir();
 }
 
 Status SharedCatalog::OpenDurable(const std::string& dir,
                                   RecoveryReport* report, int* warmed) {
   std::lock_guard<std::mutex> lock(mu_);
-  if (store_ != nullptr) {
+  if (store_->durable()) {
     return Status::InvalidArgument("a durable session is already open ('" +
                                    store_->dir() + "'); close it first");
   }
   auto opened = CatalogStore::Open(dir, alphabet_, store_options_, report);
   if (!opened.ok()) return opened.status();
-  store_ = std::move(*opened);
   {
-    std::lock_guard<std::mutex> snap_lock(snapshot_mu_);
-    live_store_ = store_.get();
+    // The recovered store shadows the directory-less one (nothing is
+    // merged), which dies with `opened` once readers cannot reach it.
+    std::lock_guard<std::mutex> store_lock(store_mu_);
+    store_.swap(*opened);
   }
 
   // Warm the engine's artifact cache from the persisted automata, so the
@@ -216,7 +123,7 @@ Status SharedCatalog::OpenDurable(const std::string& dir,
 Status SharedCatalog::CheckpointDurable(int* persisted, int64_t* generation,
                                         size_t* relations) {
   std::lock_guard<std::mutex> lock(mu_);
-  if (store_ == nullptr) {
+  if (!store_->durable()) {
     return Status::InvalidArgument("no durable session; run 'open DIR' first");
   }
   // Harvest the engine's compiled automata so the next open can warm
@@ -245,41 +152,12 @@ Status SharedCatalog::CheckpointDurable(int* persisted, int64_t* generation,
 
 Status SharedCatalog::CloseDurable() {
   std::lock_guard<std::mutex> lock(mu_);
-  if (store_ == nullptr) {
+  if (!store_->durable()) {
     return Status::InvalidArgument("no durable session to close");
   }
-  db_ = store_->db();  // keep working on the catalog, now in memory only
-  // Spilled relations live only in the store's heap files: pull them
-  // back in memory before detaching, or they would vanish from the
-  // in-memory catalog.  A read failure keeps the session open — except
-  // for relations the scrubber already quarantined: their data is gone
-  // by definition, and wedging shutdown on them would turn one bad heap
-  // into an unclosable store.
-  std::map<std::string, std::string> lost = store_->LostRelations();
-  for (const auto& [name, source] : *store_->PagedDb()) {
-    if (lost.count(name) > 0) continue;  // quarantined: nothing to copy
-    Result<StringRelation> rel = source->Materialize();
-    if (!rel.ok()) {
-      db_ = Database(alphabet_);  // discard the half-built copy
-      return Status::DataLoss("cannot close: spilled relation '" + name +
-                              "' is unreadable: " +
-                              rel.status().ToString());
-    }
-    std::vector<Tuple> tuples(rel->tuples().begin(), rel->tuples().end());
-    STRDB_RETURN_IF_ERROR(db_.Put(name, rel->arity(), std::move(tuples)));
-  }
-  // Point readers back at the in-memory snapshot *before* the store
-  // dies: a reader only dereferences live_store_ under snapshot_mu_, so
-  // once this block completes none can still be inside the store.
-  {
-    auto fresh = std::make_shared<const Database>(db_);
-    std::lock_guard<std::mutex> snap_lock(snapshot_mu_);
-    snapshot_ = std::move(fresh);
-    live_store_ = nullptr;
-  }
-  Status closed = store_->Close();
-  store_.reset();
-  return closed;
+  // In place: readers keep pulling snapshots from the same store, which
+  // keeps its relations, statistics and request window.
+  return store_->Detach();
 }
 
 }  // namespace strdb

@@ -305,8 +305,7 @@ Status CommandProcessor::HandleSafe(const std::string& text,
 
 Status CommandProcessor::HandlePlan(const std::string& text,
                                     std::string* out) {
-  std::shared_ptr<const Database> snapshot = catalog_->Snapshot();
-  Result<Query> q = Query::Parse(text, snapshot->alphabet());
+  Result<Query> q = Query::Parse(text, catalog_->alphabet());
   if (!q.ok()) return q.status();
   AppendF(out, "formula: %s\n", q->formula().ToString().c_str());
   AppendF(out, "plan:    %s\n", q->plan().ToString().c_str());

@@ -83,6 +83,19 @@ int64_t ApproxBytes(const StringRelation& rel) {
   return bytes;
 }
 
+// The tuples of `batch` a set-semantics insert into `rel` actually adds
+// (absent from `rel`, first occurrence in the batch): what the insert's
+// statistics update must count to stay equal to a recompute.
+std::vector<Tuple> FreshTuples(const StringRelation& rel,
+                               const std::vector<Tuple>& batch) {
+  std::vector<Tuple> fresh;
+  std::set<Tuple> batch_seen;
+  for (const Tuple& t : batch) {
+    if (!rel.Contains(t) && batch_seen.insert(t).second) fresh.push_back(t);
+  }
+  return fresh;
+}
+
 // Stand-in for a quarantined relation: keeps the name (and the shape
 // the snapshot recorded) in the catalog, but every read is a typed
 // kDataLoss — the failure stays scoped to this relation instead of
@@ -241,19 +254,9 @@ int64_t CatalogStore::generation() const {
   return generation_;
 }
 
-std::shared_ptr<const Database> CatalogStore::SnapshotDb() const {
-  std::lock_guard<std::mutex> lock(snapshot_mu_);
-  return snapshot_;
-}
-
 std::shared_ptr<const PagedSet> CatalogStore::PagedDb() const {
   std::lock_guard<std::mutex> lock(snapshot_mu_);
   return paged_snapshot_;
-}
-
-void CatalogStore::SnapshotState(std::shared_ptr<const Database>* db,
-                                 std::shared_ptr<const PagedSet>* paged) const {
-  SnapshotState(db, paged, nullptr);
 }
 
 void CatalogStore::SnapshotState(std::shared_ptr<const Database>* db,
@@ -319,13 +322,26 @@ void CatalogStore::RecordReqLocked(const ReqId& req) {
   if (req.seq > cur) cur = req.seq;
 }
 
+void CatalogStore::AddInsertStatsLocked(const std::string& name,
+                                        const std::vector<Tuple>& fresh) {
+  auto it = stats_.find(name);
+  if (it != stats_.end()) {
+    AddTuplesToStats(&it->second, fresh);
+    return;
+  }
+  // No stats yet (store predates them): seed from the full relation.
+  auto rel = db_.Get(name);
+  if (rel.ok()) stats_[name] = ComputeRelationStats(**rel);
+}
+
 void CatalogStore::MarkLostLocked(const std::string& name, int arity,
                                   int64_t tuple_count, int max_string_length,
                                   const std::string& reason) {
   auto it = spill_ops_.find(name);
   if (it != spill_ops_.end()) {
     if (tuple_count == 0) tuple_count = it->second.tuple_count;
-    if (max_string_length == 0) max_string_length = it->second.max_string_length;
+    if (max_string_length == 0)
+      max_string_length = it->second.max_string_length;
     if (arity == 0) arity = it->second.arity;
     spill_ops_.erase(it);
   }
@@ -358,6 +374,13 @@ Result<std::unique_ptr<CatalogStore>> CatalogStore::Open(
       new CatalogStore(dir, alphabet, options));
   RecoveryReport local;
   STRDB_RETURN_IF_ERROR(store->OpenInternal(report ? report : &local));
+  return store;
+}
+
+std::unique_ptr<CatalogStore> CatalogStore::InMemory(
+    const Alphabet& alphabet) {
+  std::unique_ptr<CatalogStore> store(new CatalogStore("", alphabet, {}));
+  store->PublishSnapshotLocked();  // nobody else holds the store yet
   return store;
 }
 
@@ -419,8 +442,7 @@ Status CatalogStore::OpenInternal(RecoveryReport* report) {
   std::set<std::string> referenced_heaps;
   for (CatalogOp& op : spills) {
     if (op.kind == CatalogOp::kReqId) {
-      uint64_t& cur = applied_reqs_[op.req_client];
-      if (op.req_seq > cur) cur = op.req_seq;
+      RecordReqLocked(ReqId{op.req_client, op.req_seq});
       continue;
     }
     if (op.kind == CatalogOp::kStats) {
@@ -534,12 +556,7 @@ Status CatalogStore::OpenInternal(RecoveryReport* report) {
         if (op->kind == CatalogOp::kInsert) {
           auto existing = db_.Get(op->name);
           if (existing.ok()) {
-            std::set<Tuple> batch_seen;
-            for (const Tuple& t : op->tuples) {
-              if (!(*existing)->Contains(t) && batch_seen.insert(t).second) {
-                fresh_inserts.push_back(t);
-              }
-            }
+            fresh_inserts = FreshTuples(**existing, op->tuples);
           }
         }
         applied = ApplyOp(*op, db_.alphabet(), &db_, &automata_);
@@ -558,10 +575,7 @@ Status CatalogStore::OpenInternal(RecoveryReport* report) {
       }
       // Rebuild the idempotent-request window from mutation tags, so a
       // retry that raced the crash still dedups after recovery.
-      if (op.ok() && !op->req_client.empty()) {
-        uint64_t& cur = applied_reqs_[op->req_client];
-        if (op->req_seq > cur) cur = op->req_seq;
-      }
+      if (op.ok()) RecordReqLocked(ReqId{op->req_client, op->req_seq});
       // Rebuild statistics alongside the catalog, the same incremental
       // way the live writer maintained them — so a reopened store's
       // stats equal the ones a non-crashing run would hold.
@@ -570,13 +584,9 @@ Status CatalogStore::OpenInternal(RecoveryReport* report) {
           case CatalogOp::kPut:
             stats_[op->name] = ComputeRelationStats(op->arity, op->tuples);
             break;
-          case CatalogOp::kInsert: {
-            auto sit = stats_.find(op->name);
-            if (sit != stats_.end()) {
-              AddTuplesToStats(&sit->second, fresh_inserts);
-            }
+          case CatalogOp::kInsert:
+            AddInsertStatsLocked(op->name, fresh_inserts);
             break;
-          }
           case CatalogOp::kDrop:
             stats_.erase(op->name);
             break;
@@ -634,16 +644,15 @@ Status CatalogStore::OpenInternal(RecoveryReport* report) {
   return Status::OK();
 }
 
-Status CatalogStore::CommitPayload(const std::string& payload) {
+Status CatalogStore::CommitLocked(
+    const std::function<std::string()>& encode, const ReqId& req) {
+  if (!durable()) return Status::OK();
   if (wal_ == nullptr) return Status::Internal("store is closed");
+  std::string payload = encode();
+  AppendReqTagLine(&payload, req.client, req.seq);
   STRDB_RETURN_IF_ERROR(wal_->Append(payload));
   Metrics().commits->Increment();
   return Status::OK();
-}
-
-Status CatalogStore::PutRelation(const std::string& name, int arity,
-                                 std::vector<Tuple> tuples) {
-  return PutRelation(name, arity, std::move(tuples), ReqId{}, nullptr);
 }
 
 Status CatalogStore::PutRelation(const std::string& name, int arity,
@@ -655,33 +664,22 @@ Status CatalogStore::PutRelation(const std::string& name, int arity,
   STRDB_ASSIGN_OR_RETURN(StringRelation rel,
                          StringRelation::Create(arity, std::move(tuples)));
   for (const Tuple& t : rel.tuples()) {
-    for (const std::string& s : t) {
-      if (!db_.alphabet().Contains(s)) {
-        return Status::InvalidArgument("string \"" + s +
-                                       "\" leaves the database alphabet");
-      }
-    }
+    STRDB_RETURN_IF_ERROR(db_.CheckTuple(name, arity, t));
   }
   std::lock_guard<std::mutex> lock(mu_);
   if (AlreadyAppliedLocked(req)) {
     if (deduped != nullptr) *deduped = true;
     return Status::OK();
   }
-  std::string payload = EncodePut(name, rel);
-  AppendReqTagLine(&payload, req.client, req.seq);
   RelationStats stats = ComputeRelationStats(rel);
-  STRDB_RETURN_IF_ERROR(CommitPayload(payload));
+  STRDB_RETURN_IF_ERROR(
+      CommitLocked([&] { return EncodePut(name, rel); }, req));
   if (paged_.count(name) > 0) DiscardPagedLocked(name);  // put replaces
   STRDB_RETURN_IF_ERROR(db_.Put(name, std::move(rel)));
   stats_[name] = std::move(stats);
   RecordReqLocked(req);
   PublishSnapshotLocked();
   return Status::OK();
-}
-
-Status CatalogStore::InsertTuples(const std::string& name,
-                                  std::vector<Tuple> tuples) {
-  return InsertTuples(name, std::move(tuples), ReqId{}, nullptr);
 }
 
 Status CatalogStore::InsertTuples(const std::string& name,
@@ -705,49 +703,19 @@ Status CatalogStore::InsertTuples(const std::string& name,
   }
   STRDB_ASSIGN_OR_RETURN(const StringRelation* rel, db_.Get(name));
   for (const Tuple& t : tuples) {
-    if (static_cast<int>(t.size()) != rel->arity()) {
-      return Status::InvalidArgument(
-          "tuple arity " + std::to_string(t.size()) +
-          " differs from relation arity " + std::to_string(rel->arity()));
-    }
-    for (const std::string& s : t) {
-      if (!db_.alphabet().Contains(s)) {
-        return Status::InvalidArgument("string \"" + s +
-                                       "\" leaves the database alphabet");
-      }
-    }
+    STRDB_RETURN_IF_ERROR(db_.CheckTuple(name, rel->arity(), t));
   }
-  std::string payload = EncodeInsert(name, tuples);
-  AppendReqTagLine(&payload, req.client, req.seq);
   // Statistics only count tuples the set-semantics insert will actually
   // add, so incremental maintenance stays exactly equal to recomputing
   // from the relation (the planner differential target pins this).
-  std::vector<Tuple> fresh;
-  {
-    std::set<Tuple> batch_seen;
-    for (const Tuple& t : tuples) {
-      if (!rel->Contains(t) && batch_seen.insert(t).second) fresh.push_back(t);
-    }
-  }
-  STRDB_RETURN_IF_ERROR(CommitPayload(payload));
-  auto sit = stats_.find(name);
-  if (sit != stats_.end()) {
-    AddTuplesToStats(&sit->second, fresh);
-  } else {
-    // No stats yet (store predates them): seed from the full relation,
-    // which after this insert means old tuples + the new batch.
-    RelationStats seeded = ComputeRelationStats(*rel);
-    AddTuplesToStats(&seeded, fresh);
-    stats_[name] = std::move(seeded);
-  }
+  std::vector<Tuple> fresh = FreshTuples(*rel, tuples);
+  STRDB_RETURN_IF_ERROR(
+      CommitLocked([&] { return EncodeInsert(name, tuples); }, req));
   STRDB_RETURN_IF_ERROR(db_.InsertTuples(name, std::move(tuples)));
+  AddInsertStatsLocked(name, fresh);
   RecordReqLocked(req);
   PublishSnapshotLocked();
   return Status::OK();
-}
-
-Status CatalogStore::DropRelation(const std::string& name) {
-  return DropRelation(name, ReqId{}, nullptr);
 }
 
 Status CatalogStore::DropRelation(const std::string& name, const ReqId& req,
@@ -762,9 +730,7 @@ Status CatalogStore::DropRelation(const std::string& name, const ReqId& req,
   if (!paged && !db_.Has(name)) {
     return Status::NotFound("relation '" + name + "' not in database");
   }
-  std::string payload = EncodeDrop(name);
-  AppendReqTagLine(&payload, req.client, req.seq);
-  STRDB_RETURN_IF_ERROR(CommitPayload(payload));
+  STRDB_RETURN_IF_ERROR(CommitLocked([&] { return EncodeDrop(name); }, req));
   if (paged) {
     DiscardPagedLocked(name);
   } else {
@@ -788,7 +754,8 @@ Status CatalogStore::InstallAutomatonText(const std::string& key,
   std::lock_guard<std::mutex> lock(mu_);
   auto it = automata_.find(key);
   if (it != automata_.end() && it->second == fsa_text) return Status::OK();
-  STRDB_RETURN_IF_ERROR(CommitPayload(EncodeFsa(key, fsa_text)));
+  STRDB_RETURN_IF_ERROR(
+      CommitLocked([&] { return EncodeFsa(key, fsa_text); }));
   automata_[key] = std::move(fsa_text);
   return Status::OK();
 }
@@ -962,7 +929,8 @@ CatalogStore::QuarantineOutcome CatalogStore::QuarantineHeap(
     Result<StringRelation> rescued = pit->second->Materialize();
     if (rescued.ok() &&
         static_cast<int64_t>(rescued->size()) == spill.tuple_count) {
-      Status committed = CommitPayload(EncodePut(name, *rescued));
+      Status committed =
+          CommitLocked([&] { return EncodePut(name, *rescued); });
       if (committed.ok()) {
         spill_ops_.erase(name);
         paged_.erase(name);
@@ -986,7 +954,7 @@ CatalogStore::QuarantineOutcome CatalogStore::QuarantineHeap(
   lost.tuple_count = spill.tuple_count;
   lost.max_string_length = spill.max_string_length;
   lost.reason = reason;
-  Status committed = CommitPayload(EncodeOp(lost));
+  Status committed = CommitLocked([&] { return EncodeOp(lost); });
   (void)committed;  // quarantine proceeds in memory even on a dying disk
   env_->Rename(dir_ + "/" + file, dir_ + "/quarantine-" + file);
   pool_->Clear();
@@ -1002,9 +970,11 @@ Status CatalogStore::ScrubNow(ScrubReport* out) {
   // a quiesced writer (the WAL check needs the committed-bytes
   // watermark and no concurrent append).
   std::vector<std::pair<std::string, CatalogOp>> heaps;
+  std::string dir;
   {
     std::lock_guard<std::mutex> lock(mu_);
     if (wal_ == nullptr) return Status::Internal("store is closed");
+    dir = dir_;
     if (generation_ > 0) {
       auto read = env_->ReadFile(SnapPath(generation_));
       std::string why;
@@ -1056,7 +1026,7 @@ Status CatalogStore::ScrubNow(ScrubReport* out) {
   // skipped.
   for (const auto& [name, op] : heaps) {
     report.heaps_scanned++;
-    auto read = env_->ReadFile(dir_ + "/" + op.file);
+    auto read = env_->ReadFile(dir + "/" + op.file);
     std::string why;
     bool bad = false;
     if (!read.ok()) {
@@ -1116,6 +1086,39 @@ Status CatalogStore::Close() {
   if (wal_ == nullptr) return Status::OK();
   std::unique_ptr<WalWriter> wal = std::move(wal_);
   return wal->Close();
+}
+
+Status CatalogStore::Detach() {
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    // Read every spilled relation before changing anything, so a heap
+    // that fails leaves the store open exactly as it was.  Quarantined
+    // relations are skipped: their data is gone by definition, and
+    // wedging the close on them would make one bad heap unclosable.
+    std::map<std::string, StringRelation> pulled;
+    for (const auto& [name, source] : paged_) {
+      if (lost_ops_.count(name) > 0) continue;
+      Result<StringRelation> rel = source->Materialize();
+      if (!rel.ok()) {
+        return Status::DataLoss("cannot close: spilled relation '" + name +
+                                "' is unreadable: " +
+                                rel.status().ToString());
+      }
+      pulled.emplace(name, std::move(*rel));
+    }
+    for (auto& [name, rel] : pulled) {
+      Status put = db_.Put(name, std::move(rel));
+      (void)put;  // name was paged, so it cannot collide
+    }
+    paged_.clear();
+    spill_ops_.clear();
+    lost_ops_.clear();
+    PublishSnapshotLocked();
+  }
+  Status closed = Close();
+  std::lock_guard<std::mutex> lock(mu_);
+  dir_.clear();
+  return closed;
 }
 
 }  // namespace strdb

@@ -3,6 +3,7 @@
 
 #include <condition_variable>
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -25,7 +26,7 @@
 
 namespace strdb {
 
-// Idempotent-request identity for durable mutations: a client-chosen id
+// Idempotent-request identity for catalog mutations: a client-chosen id
 // plus a per-client sequence number that only ever increases.  The store
 // remembers the highest sequence it applied for each client (persisted
 // through WAL tags and snapshot kReqId ops), so a client that retries a
@@ -100,8 +101,9 @@ struct ScrubReport {
   std::string ToString() const;
 };
 
-// Crash-safe persistence for the database catalog: relations and cached
-// (serialized) automata.  On disk a store directory holds
+// The database catalog — relations, their statistics and the
+// idempotent-request window — plus crash-safe persistence for it and
+// for cached (serialized) automata.  On disk a store directory holds
 //
 //   CURRENT    — the live generation number g, installed atomically
 //   snap-<g>   — checksummed snapshot of the whole catalog (storage/snapshot)
@@ -117,6 +119,10 @@ struct ScrubReport {
 // an unverified automaton (the crash-point sweep in tests/storage_test.cc
 // proves this for every injected fault point).
 //
+// A store without a directory (InMemory(), or Detach() of an open one)
+// is the same catalog minus the disk: mutations skip only the WAL
+// encode/commit; Checkpoint() and ScrubNow() have nothing to work on.
+//
 // Recovery and commit activity feed the process metrics registry
 // ("storage.*": commits, checkpoints, recovery.replayed_records,
 // recovery.truncated_bytes, io.retries, scrub.*).
@@ -125,7 +131,7 @@ struct ScrubReport {
 // reference readers may use between mutations (the shell is
 // single-threaded; concurrent readers must externally synchronize with
 // writers).  Concurrent readers that must not synchronize with writers
-// — the query server's sessions — use SnapshotDb() instead: every
+// — the query server's sessions — use SnapshotState() instead: every
 // committed mutation publishes a fresh immutable copy-on-write snapshot
 // under its own lock, so grabbing a snapshot never waits behind a WAL
 // fsync and a query keeps one consistent catalog for its whole run no
@@ -138,32 +144,32 @@ class CatalogStore {
   static Result<std::unique_ptr<CatalogStore>> Open(
       const std::string& dir, const Alphabet& alphabet,
       const StoreOptions& options = {}, RecoveryReport* report = nullptr);
+  // An empty catalog with no directory behind it.
+  static std::unique_ptr<CatalogStore> InMemory(const Alphabet& alphabet);
 
   ~CatalogStore();
 
+  // The backing directory; empty for a store without one.
   const std::string& dir() const { return dir_; }
+  bool durable() const { return !dir_.empty(); }
   int64_t generation() const;
   const Database& db() const { return db_; }
-  // The current catalog as an immutable shared snapshot.  Cheap (one
-  // shared_ptr copy under a short lock that writers only take *after*
-  // commit I/O completes); the pointed-to Database never changes, so
-  // readers evaluate against it lock-free for as long as they hold the
-  // handle.  Never null.
-  std::shared_ptr<const Database> SnapshotDb() const;
   // The spilled (out-of-core) relations as an immutable shared map,
-  // published in lockstep with SnapshotDb(): a name is in exactly one of
-  // the two.  Never null (empty map when nothing is spilled).
+  // published in lockstep with the inline catalog: a name is in exactly
+  // one of the two.  Never null (empty map when nothing is spilled).
   std::shared_ptr<const PagedSet> PagedDb() const;
-  // Both snapshots as one consistent pair: a checkpoint that spills a
-  // relation moves it between the two atomically w.r.t. this call, so a
-  // reader never sees a name in both maps or in neither.  The three-way
-  // overload additionally hands out the statistics snapshot published in
-  // the same instant (pass nullptr to skip it).
-  void SnapshotState(std::shared_ptr<const Database>* db,
-                     std::shared_ptr<const PagedSet>* paged) const;
+  // The current catalog as immutable shared snapshots: the inline
+  // relations, the spilled ones and (unless `stats` is nullptr) the
+  // statistics, all published in the same instant — a checkpoint that
+  // spills a relation moves it between `db` and `paged` atomically
+  // w.r.t. this call, so a reader never sees a name in both maps or in
+  // neither.  Cheap (shared_ptr copies under a short lock that writers
+  // only take *after* commit I/O completes); the pointed-to objects
+  // never change, so readers evaluate against them lock-free for as
+  // long as they hold the handles.  Never null.
   void SnapshotState(std::shared_ptr<const Database>* db,
                      std::shared_ptr<const PagedSet>* paged,
-                     std::shared_ptr<const StatsMap>* stats) const;
+                     std::shared_ptr<const StatsMap>* stats = nullptr) const;
   // Per-relation statistics of the current catalog (inline and spilled
   // relations alike), maintained incrementally on every mutation and
   // persisted through snapshots as kStats side-ops.  Advisory: the cost
@@ -184,22 +190,18 @@ class CatalogStore {
   // Catalog mutations.  Each validates against the current state,
   // commits to the WAL (append + fsync), then applies in memory.
   //
-  // The `req` overloads implement idempotent retries: when `req` is
-  // valid and its seq is not beyond the client's applied window, the
-  // call is a no-op that reports success with `*deduped = true` — the
-  // original application already committed.  Otherwise the op commits
-  // with the req tag and advances the window atomically with it.
+  // `req` implements idempotent retries: when it is valid and its seq is
+  // not beyond the client's applied window, the call is a no-op that
+  // reports success with `*deduped = true` (when `deduped` is non-null)
+  // — the original application already committed.  Otherwise the op
+  // commits with the req tag and advances the window atomically with it.
   Status PutRelation(const std::string& name, int arity,
-                     std::vector<Tuple> tuples);
-  Status PutRelation(const std::string& name, int arity,
-                     std::vector<Tuple> tuples, const ReqId& req,
-                     bool* deduped);
-  Status InsertTuples(const std::string& name, std::vector<Tuple> tuples);
+                     std::vector<Tuple> tuples, const ReqId& req = {},
+                     bool* deduped = nullptr);
   Status InsertTuples(const std::string& name, std::vector<Tuple> tuples,
-                      const ReqId& req, bool* deduped);
-  Status DropRelation(const std::string& name);
-  Status DropRelation(const std::string& name, const ReqId& req,
-                      bool* deduped);
+                      const ReqId& req = {}, bool* deduped = nullptr);
+  Status DropRelation(const std::string& name, const ReqId& req = {},
+                      bool* deduped = nullptr);
   // Persists a compiled automaton under its artifact-cache key.  A key
   // already stored with identical text is a no-op (harvesting the cache
   // repeatedly does not grow the log).
@@ -230,17 +232,28 @@ class CatalogStore {
   // Called by the destructor; exposed so callers can observe the Status.
   Status Close();
 
+  // Turns an open store into one without a directory, in place: pulls
+  // every spilled relation back in memory (quarantined ones have no data
+  // and vanish), closes the WAL and forgets the directory.  Relations,
+  // statistics and the request window carry on unchanged.  kDataLoss —
+  // with the store still open and unchanged — when a spilled relation is
+  // unreadable; otherwise the WAL close status.
+  Status Detach();
+
  private:
   CatalogStore(std::string dir, const Alphabet& alphabet,
                const StoreOptions& options);
 
   Status OpenInternal(RecoveryReport* report);
-  // Write-ahead commit of one encoded op (append + fsync).  The caller
-  // applies the op in memory only after this returns OK.
-  Status CommitPayload(const std::string& payload);
-  // Copies db_ (and the paged map) into fresh immutable snapshots and
-  // installs them as the ones SnapshotDb()/PagedDb() hand out.  Called
-  // with mu_ held after every successful catalog mutation.
+  // Write-ahead commit of the op `encode` returns, tagged with `req`
+  // (append + fsync); a store without a directory encodes and logs
+  // nothing.  The caller applies the op in memory only after this
+  // returns OK.  With mu_ held.
+  Status CommitLocked(const std::function<std::string()>& encode,
+                      const ReqId& req = {});
+  // Copies db_, the paged map and the statistics into fresh immutable
+  // snapshots and installs them as the ones SnapshotState() hands out.
+  // Called with mu_ held after every successful catalog mutation.
   void PublishSnapshotLocked();
   // Pulls a spilled relation back into db_ (its heap file becomes
   // garbage, reclaimed at the next checkpoint or open).  With mu_ held.
@@ -253,6 +266,11 @@ class CatalogStore {
   bool AlreadyAppliedLocked(const ReqId& req) const;
   // Records `req` as applied.  With mu_ held, after the WAL commit.
   void RecordReqLocked(const ReqId& req);
+  // Updates the statistics of inline relation `name` after an insert
+  // that added `fresh` (see FreshTuples); seeds them from the relation
+  // when it has none yet.  With mu_ held.
+  void AddInsertStatsLocked(const std::string& name,
+                            const std::vector<Tuple>& fresh);
   // Installs a lost marker for `name` (kDataLoss tuple source + lost
   // op), dropping any paged/spill state without queueing the heap file
   // as garbage (the caller already moved or lost the file).  With mu_
@@ -273,7 +291,9 @@ class CatalogStore {
   std::string SnapPath(int64_t gen) const;
   std::string WalPath(int64_t gen) const;
 
-  const std::string dir_;
+  // Cleared by Detach() under mu_; dir()/durable() read it unlocked, so
+  // their callers must not race Detach() (SharedCatalog serializes both).
+  std::string dir_;
   const StoreOptions options_;
   Env* const env_;
   // Shared with every PagedHeap view handed out through snapshots, so

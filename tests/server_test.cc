@@ -180,7 +180,9 @@ TEST(ServerCoreTest, SnapshotIsolatesReadersFromTheWriter) {
   SharedCatalog catalog(Alphabet::Binary());
   ASSERT_TRUE(catalog.PutRelation("R", 1, {{"ab"}}).ok());
   // A reader (query mid-flight) pins its snapshot...
-  std::shared_ptr<const Database> snapshot = catalog.Snapshot();
+  std::shared_ptr<const Database> snapshot;
+  std::shared_ptr<const PagedSet> paged;
+  catalog.SnapshotState(&snapshot, &paged);
   // ...while the writer commits twice behind its back.
   ASSERT_TRUE(catalog.PutRelation("R", 1, {{"ba"}, {"bb"}}).ok());
   ASSERT_TRUE(catalog.DropRelation("R").ok());
@@ -189,7 +191,9 @@ TEST(ServerCoreTest, SnapshotIsolatesReadersFromTheWriter) {
   ASSERT_EQ(snapshot->relations().count("R"), 1u);
   EXPECT_EQ(snapshot->relations().at("R").size(), 1u);
   // A fresh snapshot sees the writer's latest commit.
-  EXPECT_EQ(catalog.Snapshot()->relations().count("R"), 0u);
+  std::shared_ptr<const Database> fresh;
+  catalog.SnapshotState(&fresh, &paged);
+  EXPECT_EQ(fresh->relations().count("R"), 0u);
 }
 
 TEST(ServerCoreTest, QueryEvaluatesAgainstOneSnapshot) {
