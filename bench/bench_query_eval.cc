@@ -39,12 +39,14 @@
 #include <cstring>
 #include <fstream>
 #include <functional>
+#include <set>
 #include <string>
 #include <vector>
 
 #include "testing/bench_support.h"
 #include "calculus/eval.h"
 #include "calculus/parser.h"
+#include "calculus/translate.h"
 #include "core/rng.h"
 #include "engine/engine.h"
 #include "fsa/compile.h"
@@ -524,6 +526,94 @@ Result<PlannerChainRow> MeasurePlannerChain(bool quick) {
   return row;
 }
 
+// E27 — σ_A(A × B) with A the Theorem 4.2 join automaton of block
+// {0,1}: the algebra `x | A(x) & B(x)` translates to.  The naive
+// evaluator materialises the |A|·|B| product and runs σ_A over every
+// tuple; the engine's DFA tier proves the two tapes equal, so it runs a
+// hash join and σ_A over the matches only.  Costs are per product
+// tuple.  Same workload in quick and full mode; --quick only trims reps.
+struct EquiJoinRow {
+  std::string name;
+  int64_t tuples = 0;  // |A|·|B|
+  int reps = 0;
+  size_t answers = 0;
+  double naive_ns_per_tuple = 0;
+  double engine_ns_per_tuple = 0;
+  double speedup = 0;  // naive / engine
+};
+
+Result<EquiJoinRow> MeasureEquiJoin(bool quick) {
+  const int size = 512;
+  const int overlap = 256;
+  Database db(Alphabet::Binary());
+  Rng rng(27);
+  std::set<std::string> distinct;
+  while (static_cast<int>(distinct.size()) < 2 * size - overlap) {
+    distinct.insert(rng.String(db.alphabet(), 6, 14));
+  }
+  std::vector<std::string> words(distinct.begin(), distinct.end());
+  std::vector<Tuple> a, b;
+  for (int i = 0; i < size; ++i) {
+    a.push_back({words[static_cast<size_t>(i)]});
+    b.push_back({words[static_cast<size_t>(size - overlap + i)]});
+  }
+  STRDB_RETURN_IF_ERROR(db.Put("A", 1, std::move(a)));
+  STRDB_RETURN_IF_ERROR(db.Put("B", 1, std::move(b)));
+  STRDB_ASSIGN_OR_RETURN(
+      AlgebraExpr query,
+      JoinByPartition(AlgebraExpr::Product(AlgebraExpr::Relation("A", 1),
+                                           AlgebraExpr::Relation("B", 1)),
+                      {{0, 1}}, db.alphabet()));
+  EvalOptions opts;
+  Engine engine;
+  ExecStats stats;
+  STRDB_ASSIGN_OR_RETURN(StringRelation fast,
+                         engine.Execute(query, db, opts, &stats));
+  STRDB_ASSIGN_OR_RETURN(StringRelation naive, EvalAlgebra(query, db, opts));
+  if (!(fast == naive) || fast.size() != overlap) {
+    return Status::Internal("equi_join_pairs: engine and naive disagree");
+  }
+  if (stats.plan.find("hash-join") == std::string::npos) {
+    return Status::Internal("equi_join_pairs: the engine did not join\n" +
+                            stats.plan);
+  }
+
+  const int64_t tuples = int64_t{size} * size;
+  const int naive_reps = quick ? 2 : 5;
+  int64_t naive_ns = TimeNs([&] {
+    for (int r = 0; r < naive_reps; ++r) {
+      benchmark::DoNotOptimize(EvalAlgebra(query, db, opts));
+    }
+  });
+  for (int w = 0; w < 5; ++w) {
+    benchmark::DoNotOptimize(engine.Execute(query, db, opts));
+  }
+  int64_t one_pass = TimeNs(
+      [&] { benchmark::DoNotOptimize(engine.Execute(query, db, opts)); });
+  const int64_t target_ns = quick ? 100'000'000 : 500'000'000;
+  int reps = static_cast<int>(target_ns / std::max<int64_t>(one_pass, 1));
+  reps = std::max(1, std::min(reps, 2000));
+  int64_t engine_ns = TimeNs([&] {
+    for (int r = 0; r < reps; ++r) {
+      benchmark::DoNotOptimize(engine.Execute(query, db, opts));
+    }
+  });
+
+  EquiJoinRow row;
+  row.name = "equi_join_pairs";
+  row.tuples = tuples;
+  row.reps = reps;
+  row.answers = fast.size();
+  row.naive_ns_per_tuple = static_cast<double>(naive_ns) /
+                           (static_cast<double>(naive_reps) *
+                            static_cast<double>(tuples));
+  row.engine_ns_per_tuple =
+      static_cast<double>(engine_ns) /
+      (static_cast<double>(reps) * static_cast<double>(tuples));
+  row.speedup = row.naive_ns_per_tuple / row.engine_ns_per_tuple;
+  return row;
+}
+
 int RunJsonMode(const std::string& path, bool quick) {
   const int tuples = quick ? 128 : 1024;
   const int max_len = quick ? 12 : 24;
@@ -552,6 +642,11 @@ int RunJsonMode(const std::string& path, bool quick) {
   Result<PlannerChainRow> planner = MeasurePlannerChain(quick);
   if (!planner.ok()) {
     std::fprintf(stderr, "%s\n", planner.status().ToString().c_str());
+    return 1;
+  }
+  Result<EquiJoinRow> join = MeasureEquiJoin(quick);
+  if (!join.ok()) {
+    std::fprintf(stderr, "%s\n", join.status().ToString().c_str());
     return 1;
   }
 
@@ -595,11 +690,30 @@ int RunJsonMode(const std::string& path, bool quick) {
         << ", \"dp_ns_per_tuple\": "
         << static_cast<int64_t>(p.dp_ns_per_tuple) << ", \"dp_speedup\": "
         << static_cast<double>(static_cast<int64_t>(p.dp_speedup * 100)) / 100
-        << "}\n";
+        << "},\n";
     std::printf("%-20s worst %8.0f ns/tuple  heuristic %8.0f ns/tuple  "
                 "dp %8.0f ns/tuple  dp speedup %.2fx\n",
                 p.name.c_str(), p.worst_ns_per_tuple, p.heuristic_ns_per_tuple,
                 p.dp_ns_per_tuple, p.dp_speedup);
+  }
+  {
+    const EquiJoinRow& j = *join;
+    out << "    {\"name\": \"" << j.name << "\", \"tuples\": " << j.tuples
+        << ", \"reps\": " << j.reps << ", \"answers\": " << j.answers
+        << ", \"naive_ns_per_tuple\": "
+        << static_cast<int64_t>(j.naive_ns_per_tuple)
+        // Well under 1 ns per product tuple: keep two decimals.
+        << ", \"engine_ns_per_tuple\": "
+        << static_cast<double>(
+               static_cast<int64_t>(j.engine_ns_per_tuple * 100)) /
+               100
+        << ", \"speedup\": "
+        << static_cast<double>(static_cast<int64_t>(j.speedup * 100)) / 100
+        << "}\n";
+    std::printf("%-20s naive %8.1f ns/tuple  engine %8.1f ns/tuple  "
+                "speedup %.2fx\n",
+                j.name.c_str(), j.naive_ns_per_tuple, j.engine_ns_per_tuple,
+                j.speedup);
   }
   out << "  ]\n}\n";
   std::printf("wrote %s\n", path.c_str());

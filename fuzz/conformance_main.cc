@@ -19,6 +19,7 @@
 #include <string>
 #include <vector>
 
+#include "core/metrics.h"
 #include "testing/differential.h"
 
 namespace {
@@ -117,14 +118,21 @@ int main(int argc, char** argv) {
     targets.push_back(target);
   }
 
+  // The engine's equi-join path, counted per target so a sweep shows
+  // whether its cases reached it.
+  strdb::Counter* hash_joins =
+      strdb::MetricsRegistry::Global().GetCounter("engine.hash_joins");
   int status = 0;
   for (const auto* target : targets) {
+    const int64_t joins_before = hash_joins->value();
     auto report = strdb::testgen::RunConformance(*target, options);
     if (!report.ok()) {
       std::fprintf(stderr, "%s\n", report.status().ToString().c_str());
       return 2;
     }
     std::printf("%s\n", report->ToString().c_str());
+    std::printf("  engine.hash_joins +%lld\n",
+                static_cast<long long>(hash_joins->value() - joins_before));
     if (report->divergences > 0) status = 1;
   }
   return status;

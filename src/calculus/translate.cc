@@ -255,6 +255,19 @@ class CalcTranslator {
     std::vector<std::string> combined = lv;
     combined.insert(combined.end(), rv.begin(), rv.end());
     std::set<std::string> distinct(combined.begin(), combined.end());
+    if (distinct.size() == combined.size()) {
+      // No shared variable: nothing to join (the all-singleton partition
+      // would be a σ accepting every tuple), only the ascending column
+      // order to restore.
+      if (std::is_sorted(combined.begin(), combined.end())) return product;
+      std::vector<int> columns;
+      for (const std::string& v : distinct) {
+        columns.push_back(static_cast<int>(
+            std::find(combined.begin(), combined.end(), v) -
+            combined.begin()));
+      }
+      return AlgebraExpr::Project(std::move(product), std::move(columns));
+    }
     std::vector<std::vector<int>> blocks;
     for (const std::string& v : distinct) {
       std::vector<int> block;

@@ -62,8 +62,11 @@ int64_t ArtifactCache::KernelCost(const AcceptKernel& kernel) {
 }
 
 int64_t ArtifactCache::DfaCost(const DfaCompilation& compilation) {
-  int64_t bytes = static_cast<int64_t>(sizeof(DfaCompilation)) +
-                  static_cast<int64_t>(compilation.failure.message().size());
+  int64_t bytes =
+      static_cast<int64_t>(sizeof(DfaCompilation)) +
+      static_cast<int64_t>(compilation.failure.message().size()) +
+      static_cast<int64_t>(compilation.equal_tapes.size() *
+                           sizeof(compilation.equal_tapes[0]));
   if (compilation.program != nullptr) {
     bytes += compilation.program->MemoryCost();
   }

@@ -1,6 +1,7 @@
 #include "engine/engine.h"
 
 #include <chrono>
+#include <functional>
 #include <optional>
 #include <set>
 #include <unordered_map>
@@ -37,14 +38,53 @@ void FlattenProduct(const AlgebraExpr& e, std::vector<AlgebraExpr>* out) {
   }
 }
 
+// Fetches (or compiles) the DFA-tier artifact for `node`'s automaton:
+// the program plus its implied tape equalities, or a typed refusal
+// (two-way, nondeterministic head schedule, past the subset caps).
+// Refusals are cached too, so an inapplicable machine pays the
+// classification once, not per query.  `cache` may be null (caching
+// disabled).
+Result<std::shared_ptr<const DfaCompilation>> LookupDfa(
+    PlanNode* node, ArtifactCache* cache, ResourceBudget* budget) {
+  static Counter* const hits =
+      MetricsRegistry::Global().GetCounter("fsa.dfa.cache_hits");
+  static Counter* const fallbacks =
+      MetricsRegistry::Global().GetCounter("fsa.dfa.fallbacks");
+  const std::string key = node->fsa_key + "\n|dfa";
+  if (cache != nullptr) {
+    std::shared_ptr<const DfaCompilation> cached = cache->GetDfa(key);
+    if (cached != nullptr) {
+      if (cached->program != nullptr) {
+        ++node->stats.cache_hits;
+        hits->Increment();
+      } else {
+        fallbacks->Increment();
+      }
+      return cached;
+    }
+    ++node->stats.cache_misses;
+  }
+  DfaCompilation fresh = DfaCompilation::Of(*node->fsa);
+  if (fresh.program == nullptr) fallbacks->Increment();
+  if (cache == nullptr) {
+    return std::make_shared<const DfaCompilation>(std::move(fresh));
+  }
+  return cache->PutDfa(key, std::move(fresh), budget);
+}
+
 // Lowers the (rewritten) algebra AST to a physical-plan DAG.  Subtrees
 // shared in the AST — including those unified by the CSE rewrite — lower
 // to one PlanNode, which the executor evaluates once.
 class Planner {
  public:
   Planner(const Database& db, const EvalOptions& options,
-          const CostPlannerContext* cost_ctx)
-      : db_(db), options_(options), cost_ctx_(cost_ctx) {}
+          const CostPlannerContext* cost_ctx, bool enable_dfa,
+          ArtifactCache* cache)
+      : db_(db),
+        options_(options),
+        cost_ctx_(cost_ctx),
+        enable_dfa_(enable_dfa),
+        cache_(cache) {}
 
   Result<std::shared_ptr<PlanNode>> Lower(const AlgebraExpr& e) {
     auto it = memo_.find(e.node_identity());
@@ -140,6 +180,30 @@ class Planner {
       // Plain filtering: evaluate the child (Σ* becomes Σ^l) and keep
       // the accepted tuples — same semantics as the naïve evaluator.
       node->op = Op::kFilterSelect;
+      if (!has_star && e.Left().kind() == Kind::kProduct && enable_dfa_) {
+        // σ_A(L × R) whose DFA proves a column of L equal to a column
+        // of R runs as a hash join; σ_A still checks every match.  A
+        // failed lookup only forgoes the join: execution repeats it
+        // and surfaces the error there.
+        Result<std::shared_ptr<const DfaCompilation>> dfa =
+            LookupDfa(node.get(), cache_, options_.budget);
+        if (dfa.ok()) {
+          node->dfa = *std::move(dfa);
+          const int split = e.Left().Left().arity();
+          for (const auto& [i, j] : node->dfa->equal_tapes) {
+            if (i < split && j >= split) node->join_keys.emplace_back(i, j);
+          }
+        }
+      }
+      if (!node->join_keys.empty()) {
+        node->op = Op::kHashJoin;
+        STRDB_ASSIGN_OR_RETURN(std::shared_ptr<PlanNode> l,
+                               Lower(e.Left().Left()));
+        STRDB_ASSIGN_OR_RETURN(std::shared_ptr<PlanNode> r,
+                               Lower(e.Left().Right()));
+        node->children = {std::move(l), std::move(r)};
+        return node;
+      }
       STRDB_ASSIGN_OR_RETURN(std::shared_ptr<PlanNode> c, Lower(e.Left()));
       node->children = {std::move(c)};
       return node;
@@ -164,6 +228,8 @@ class Planner {
   const Database& db_;
   const EvalOptions& options_;
   const CostPlannerContext* cost_ctx_;  // nullptr = heuristic estimates
+  const bool enable_dfa_;  // the DFA tier, whose artifact licenses joins
+  ArtifactCache* cache_;   // nullptr = caching disabled
   std::unordered_map<const AlgebraExpr::Node*, std::shared_ptr<PlanNode>>
       memo_;
 };
@@ -286,6 +352,10 @@ class Executor {
           if (out.size() > options_.max_tuples) {
             return Status::ResourceExhausted("product exceeds max_tuples");
           }
+          // A product can run long with no σ above it to charge steps.
+          if (options_.budget != nullptr) {
+            STRDB_RETURN_IF_ERROR(options_.budget->CheckDeadline());
+          }
         }
         return out;
       }
@@ -312,6 +382,8 @@ class Executor {
       }
       case Op::kFilterSelect:
         return FilterSelect(node);
+      case Op::kHashJoin:
+        return HashJoin(node);
       case Op::kGenerateSelect:
         return GenerateSelect(node);
     }
@@ -341,53 +413,18 @@ class Executor {
     return std::make_shared<const AcceptKernel>(std::move(compiled).value());
   }
 
-  // Fetches (or compiles) the DFA-tier program for `node`'s automaton.
-  // Returns nullptr when the tier is disabled, the machine is outside
-  // its applicability class (two-way, nondeterministic head schedule)
-  // or past the subset-construction caps — the caller then falls back
-  // to the kernel.  Refusals are cached too, so an inapplicable machine
-  // pays the classification once, not per query.
+  // The DFA-tier program for `node`'s automaton, or nullptr when the
+  // tier is disabled or refuses the machine — the caller then falls back
+  // to the kernel.  Planning may already have looked the artifact up.
   Result<std::shared_ptr<const DfaProgram>> DfaFor(PlanNode* node) {
     if (!engine_options_.enable_dfa) {
       return std::shared_ptr<const DfaProgram>();
     }
-    static Counter* const hits =
-        MetricsRegistry::Global().GetCounter("fsa.dfa.cache_hits");
-    static Counter* const fallbacks =
-        MetricsRegistry::Global().GetCounter("fsa.dfa.fallbacks");
-    if (cache_ != nullptr) {
-      std::string key = node->fsa_key + "\n|dfa";
-      std::shared_ptr<const DfaCompilation> cached = cache_->GetDfa(key);
-      if (cached != nullptr) {
-        if (cached->program != nullptr) {
-          ++node->stats.cache_hits;
-          hits->Increment();
-          return cached->program;
-        }
-        fallbacks->Increment();
-        return std::shared_ptr<const DfaProgram>();
-      }
-      ++node->stats.cache_misses;
-      DfaCompilation fresh;
-      Result<DfaProgram> compiled = DfaProgram::Compile(*node->fsa);
-      if (compiled.ok()) {
-        fresh.program =
-            std::make_shared<const DfaProgram>(std::move(compiled).value());
-      } else {
-        fresh.failure = compiled.status();
-        fallbacks->Increment();
-      }
-      STRDB_ASSIGN_OR_RETURN(std::shared_ptr<const DfaCompilation> stored,
-                             cache_->PutDfa(key, std::move(fresh),
-                                            options_.budget));
-      return stored->program;
+    if (node->dfa == nullptr) {
+      STRDB_ASSIGN_OR_RETURN(node->dfa,
+                             LookupDfa(node, cache_, options_.budget));
     }
-    Result<DfaProgram> compiled = DfaProgram::Compile(*node->fsa);
-    if (!compiled.ok()) {
-      fallbacks->Increment();
-      return std::shared_ptr<const DfaProgram>();
-    }
-    return std::make_shared<const DfaProgram>(std::move(compiled).value());
+    return node->dfa->program;
   }
 
   Result<StringRelation> FilterSelect(PlanNode* node) {
@@ -402,6 +439,82 @@ class Executor {
     std::vector<const Tuple*> tuples;
     tuples.reserve(static_cast<size_t>(child->size()));
     for (const Tuple& t : child->tuples()) tuples.push_back(&t);
+    return AcceptTuples(node, tuples);
+  }
+
+  // σ_A(L × R) as an equi-join: hash the smaller input on its key
+  // columns, probe with the other, and run σ_A over the matches in L‖R
+  // column order.  The keys only prefilter — σ_A decides every answer —
+  // so the result is exact whenever ImpliedEqualTapes is sound.
+  Result<StringRelation> HashJoin(PlanNode* node) {
+    static Counter* const joins =
+        MetricsRegistry::Global().GetCounter("engine.hash_joins");
+    joins->Increment();
+    STRDB_ASSIGN_OR_RETURN(const StringRelation* l,
+                           Eval(node->children[0].get()));
+    STRDB_ASSIGN_OR_RETURN(const StringRelation* r,
+                           Eval(node->children[1].get()));
+    node->stats.tuples_in = l->size() + r->size();
+    // Key columns of each side, in key order (R's are local to R).
+    std::vector<size_t> l_cols, r_cols;
+    for (const auto& [i, j] : node->join_keys) {
+      l_cols.push_back(static_cast<size_t>(i));
+      r_cols.push_back(static_cast<size_t>(j - l->arity()));
+    }
+    const bool build_left = l->size() <= r->size();
+    const StringRelation& build = build_left ? *l : *r;
+    const StringRelation& probe = build_left ? *r : *l;
+    const std::vector<size_t>& build_cols = build_left ? l_cols : r_cols;
+    const std::vector<size_t>& probe_cols = build_left ? r_cols : l_cols;
+    auto key_hash = [](const Tuple& t, const std::vector<size_t>& cols) {
+      size_t h = 0;
+      for (size_t c : cols) {
+        h ^= std::hash<std::string>{}(t[c]) + 0x9e3779b97f4a7c15ull +
+             (h << 6) + (h >> 2);
+      }
+      return h;
+    };
+    std::unordered_multimap<size_t, const Tuple*> table;
+    table.reserve(static_cast<size_t>(build.size()));
+    for (const Tuple& t : build.tuples()) {
+      table.emplace(key_hash(t, build_cols), &t);
+    }
+    std::vector<Tuple> matches;
+    for (const Tuple& p : probe.tuples()) {
+      auto [begin, end] = table.equal_range(key_hash(p, probe_cols));
+      for (auto it = begin; it != end; ++it) {
+        const Tuple& b = *it->second;
+        bool equal = true;
+        for (size_t k = 0; k < build_cols.size() && equal; ++k) {
+          equal = b[build_cols[k]] == p[probe_cols[k]];
+        }
+        if (!equal) continue;
+        Tuple joined = build_left ? b : p;
+        const Tuple& tail = build_left ? p : b;
+        joined.insert(joined.end(), tail.begin(), tail.end());
+        matches.push_back(std::move(joined));
+      }
+      if (static_cast<int64_t>(matches.size()) > options_.max_tuples) {
+        return Status::ResourceExhausted("join exceeds max_tuples");
+      }
+      if (options_.budget != nullptr) {
+        STRDB_RETURN_IF_ERROR(options_.budget->CheckDeadline());
+      }
+    }
+    if (options_.budget != nullptr) {
+      // The matches are materialised like a product's rows.
+      STRDB_RETURN_IF_ERROR(options_.budget->ChargeRows(
+          static_cast<int64_t>(matches.size())));
+    }
+    std::vector<const Tuple*> tuples;
+    tuples.reserve(matches.size());
+    for (const Tuple& t : matches) tuples.push_back(&t);
+    return AcceptTuples(node, tuples);
+  }
+
+  // Runs σ_A over `tuples`, keeping the accepted ones.
+  Result<StringRelation> AcceptTuples(PlanNode* node,
+                                      const std::vector<const Tuple*>& tuples) {
     int64_t n = static_cast<int64_t>(tuples.size());
 
     std::vector<char> accepted(tuples.size(), 0);
@@ -722,6 +835,16 @@ void RecordSelectivities(const PlanNode& node,
     feedback->Record(node.fsa_key,
                      static_cast<double>(node.stats.tuples_out) /
                          static_cast<double>(node.stats.tuples_in));
+  } else if (node.op == Op::kHashJoin && node.stats.tuples_in > 0) {
+    // Relative to |L|·|R|, as the filter over L × R it replaces would
+    // observe it: the quantity the cost model estimates.
+    const double product =
+        static_cast<double>(node.children[0]->stats.tuples_out) *
+        static_cast<double>(node.children[1]->stats.tuples_out);
+    if (product > 0) {
+      feedback->Record(node.fsa_key,
+                       static_cast<double>(node.stats.tuples_out) / product);
+    }
   }
   for (const auto& child : node.children) {
     RecordSelectivities(*child, seen, feedback);
@@ -794,7 +917,9 @@ Result<std::shared_ptr<PlanNode>> Engine::Plan(const AlgebraExpr& expr,
                            RewriteExpr(expr, db, options, rewrites));
   }
   Planner planner(db, options,
-                  options_.enable_cost_planner ? &cost_ctx : nullptr);
+                  options_.enable_cost_planner ? &cost_ctx : nullptr,
+                  options_.enable_dfa,
+                  options_.enable_cache ? &cache_ : nullptr);
   return planner.Lower(target);
 }
 

@@ -25,6 +25,8 @@ std::string PlanNode::OpName() const {
       return "filter-select";
     case Op::kGenerateSelect:
       return "gen-select";
+    case Op::kHashJoin:
+      return "hash-join";
     case Op::kRestrict:
       return "restrict";
   }
@@ -68,6 +70,14 @@ void ExplainNode(const PlanNode& node, int depth, bool with_stats,
     case PlanNode::Op::kGenerateSelect:
       *out << "[fsa:" << node.fsa->num_transitions() << "t free={"
            << JoinInts(node.free_columns) << "}]";
+      break;
+    case PlanNode::Op::kHashJoin:
+      *out << "[";
+      for (size_t i = 0; i < node.join_keys.size(); ++i) {
+        if (i > 0) *out << ",";
+        *out << node.join_keys[i].first << "=" << node.join_keys[i].second;
+      }
+      *out << "][fsa:" << node.fsa->num_transitions() << "t]";
       break;
     default:
       break;

@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "fsa/fsa.h"
@@ -11,6 +12,8 @@
 #include "relational/tuple_source.h"
 
 namespace strdb {
+
+struct DfaCompilation;
 
 // Execution counters of one plan operator, filled in while the plan
 // runs.  `fsa_steps` counts configurations visited by σ_A acceptance
@@ -38,6 +41,7 @@ struct PlanNode {
     kProduct,
     kProject,
     kFilterSelect,    // σ_A as a per-tuple acceptance filter
+    kHashJoin,        // σ_A(L × R) as an equi-join on L, R, then σ_A
     kGenerateSelect,  // σ_A(F1×…×Fm×(Σ*)^n) run as a generator
     kRestrict,        // length-<=l filter (E ∩ (Σ*)^m at ↓l)
   };
@@ -59,6 +63,16 @@ struct PlanNode {
   // free_columns lists the Σ* columns the generator fills in.
   std::vector<int> factor_offsets;
   std::vector<int> free_columns;
+
+  // kHashJoin: children are L and R; each key pair (i, j) is a column i
+  // of L and a column j of R in the joined L‖R layout that A's DFA
+  // proves equal on every accepted tuple (ImpliedEqualTapes).  The join
+  // only prefilters: σ_A still runs over its output.
+  std::vector<std::pair<int, int>> join_keys;
+  // The two select ops: the DFA-tier artifact when planning already
+  // looked it up (σ over a product), so execution does not repeat the
+  // lookup.  nullptr = look it up at execution.
+  std::shared_ptr<const DfaCompilation> dfa;
 
   std::vector<std::shared_ptr<PlanNode>> children;
 

@@ -195,13 +195,16 @@ struct DfaBatchRunner {
 
 Result<DfaProgram> DfaProgram::Compile(const Fsa& fsa,
                                        const DfaBuildOptions& options) {
-  const DfaMetrics& metrics = DfaMetrics::Get();
   Result<Dfa> built = BuildDfa(fsa, options);
   if (!built.ok()) {
-    metrics.compile_failures->Increment();
+    DfaMetrics::Get().compile_failures->Increment();
     return built.status();
   }
-  Dfa& dfa = *built;
+  return Lower(*std::move(built));
+}
+
+Result<DfaProgram> DfaProgram::Lower(Dfa dfa) {
+  const DfaMetrics& metrics = DfaMetrics::Get();
   // The batch path indexes the row table with 32-bit lane arithmetic.
   if (static_cast<int64_t>(dfa.rows.size()) > (int64_t{1} << 30)) {
     metrics.compile_failures->Increment();
@@ -244,6 +247,25 @@ Result<DfaProgram> DfaProgram::Compile(const Fsa& fsa,
   metrics.states_before->Record(p.stats_.states_before_min);
   metrics.states_after->Record(p.stats_.states_after_min);
   return p;
+}
+
+DfaCompilation DfaCompilation::Of(const Fsa& fsa) {
+  DfaCompilation out;
+  Result<Dfa> built = BuildDfa(fsa);
+  if (!built.ok()) {
+    DfaMetrics::Get().compile_failures->Increment();
+    out.failure = built.status();
+    return out;
+  }
+  std::vector<std::pair<int, int>> equal_tapes = ImpliedEqualTapes(*built);
+  Result<DfaProgram> lowered = DfaProgram::Lower(*std::move(built));
+  if (!lowered.ok()) {
+    out.failure = lowered.status();
+    return out;
+  }
+  out.program = std::make_shared<const DfaProgram>(*std::move(lowered));
+  out.equal_tapes = std::move(equal_tapes);
+  return out;
 }
 
 int64_t DfaProgram::MemoryCost() const {

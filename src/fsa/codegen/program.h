@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/alphabet.h"
@@ -51,6 +52,8 @@ class DfaProgram {
   // schedules, kResourceExhausted past the subset/byte caps.
   static Result<DfaProgram> Compile(const Fsa& fsa,
                                     const DfaBuildOptions& options = {});
+  // Lowers an already built DFA (the second half of Compile).
+  static Result<DfaProgram> Lower(Dfa dfa);
 
   int num_tapes() const { return k_; }
   int num_states() const { return num_states_; }
@@ -95,6 +98,12 @@ class DfaProgram {
 struct DfaCompilation {
   std::shared_ptr<const DfaProgram> program;  // null on refusal
   Status failure;                             // why, when program is null
+  // ImpliedEqualTapes of the DFA the program was lowered from: the tape
+  // pairs every accepted tuple agrees on.  Empty on refusal.
+  std::vector<std::pair<int, int>> equal_tapes;
+
+  // Builds the DFA once, reads its tape equalities, then lowers it.
+  static DfaCompilation Of(const Fsa& fsa);
 };
 
 // Reusable per-thread scratch: rank rows for the scalar path plus the

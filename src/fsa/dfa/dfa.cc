@@ -315,6 +315,47 @@ Result<Dfa> BuildDfa(const Fsa& fsa, const DfaBuildOptions& options) {
   return dfa;
 }
 
+std::vector<std::pair<int, int>> ImpliedEqualTapes(const Dfa& dfa) {
+  const int k = dfa.num_tapes;
+  const int32_t end_rank = dfa.radix - 1;  // ⊣
+  std::vector<std::pair<int, int>> pairs;
+  for (int i = 0; i < k; ++i) {
+    for (int j = i + 1; j < k; ++j) pairs.emplace_back(i, j);
+  }
+  std::vector<uint8_t> seen(static_cast<size_t>(dfa.num_states), 0);
+  std::vector<int32_t> queue = {dfa.start};
+  seen[static_cast<size_t>(dfa.start)] = 1;
+  std::vector<int32_t> digit(static_cast<size_t>(k));
+  for (size_t head = 0; head < queue.size() && !pairs.empty(); ++head) {
+    const int32_t s = queue[head];
+    if (s == dfa.accept_state || s == dfa.dead_state) continue;
+    const size_t base =
+        static_cast<size_t>(s) * static_cast<size_t>(dfa.num_keys);
+    for (int32_t key = 0; key < dfa.num_keys && !pairs.empty(); ++key) {
+      const uint32_t row = dfa.rows[base + static_cast<size_t>(key)];
+      const int32_t next = static_cast<int32_t>(row & 0xFFFFFFu);
+      if (next == dfa.dead_state) continue;
+      const uint32_t mask = row >> 24;
+      for (int t = 0; t < k; ++t) {
+        digit[static_cast<size_t>(t)] =
+            key / dfa.pow[static_cast<size_t>(t)] % dfa.radix;
+      }
+      const bool accepts = next == dfa.accept_state;
+      std::erase_if(pairs, [&](const std::pair<int, int>& p) {
+        const int32_t di = digit[static_cast<size_t>(p.first)];
+        return di != digit[static_cast<size_t>(p.second)] ||
+               ((mask >> p.first) & 1u) != ((mask >> p.second) & 1u) ||
+               (accepts && di != end_rank);
+      });
+      if (!seen[static_cast<size_t>(next)]) {
+        seen[static_cast<size_t>(next)] = 1;
+        queue.push_back(next);
+      }
+    }
+  }
+  return pairs;
+}
+
 namespace {
 
 // Head phases of the density walk.  kAtStart reads ⊢ surely; kInString

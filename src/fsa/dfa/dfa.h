@@ -2,6 +2,7 @@
 #define STRDB_FSA_DFA_DFA_H_
 
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "core/alphabet.h"
@@ -97,6 +98,20 @@ struct Dfa {
 //   kResourceExhausted  — subset or table-byte cap exceeded (the
 //                         blowup defence), or the key space overflows.
 Result<Dfa> BuildDfa(const Fsa& fsa, const DfaBuildOptions& options = {});
+
+// Tape pairs (i, j), i < j, on which every tuple the DFA accepts agrees:
+// t_i = t_j.  A sound sufficient test, not a decision procedure (for
+// relation algebras in general the question is undecidable).  A pair is
+// reported when every live row (successor ≠ dead) of every state
+// reachable from the start over live rows
+//   * reads equal symbols on tapes i and j,
+//   * advances heads i and j alike, and
+//   * reads ⊣ on both tapes if it jumps to accept.
+// Along an accepting chain the two heads then stand on the same position
+// at every step, read the same symbol there, and reach their ⊣ together,
+// so the strings are equal.  Machines outside this shape report fewer
+// pairs, never a wrong one.  Sorted by (i, j).
+std::vector<std::pair<int, int>> ImpliedEqualTapes(const Dfa& dfa);
 
 // Inputs to the acceptance-density estimate: a per-tape model of random
 // strings — independent characters drawn from `char_weight` (indexed by

@@ -4,6 +4,7 @@
 #include <cstdlib>
 #include <utility>
 
+#include "calculus/translate.h"
 #include "fsa/compile.h"
 #include "strform/parser.h"
 #include "testing/corpus.h"
@@ -210,6 +211,80 @@ AlgebraExpr RandomAlgebraExpr(RandomSource& rand, const FsaPool& pool,
       return AlgebraExpr::RestrictToDomain(
           RandomAlgebraExpr(rand, pool, depth - 1));
   }
+}
+
+std::vector<std::vector<std::vector<int>>> SetPartitions(int n) {
+  std::vector<std::vector<std::vector<int>>> out;
+  if (n <= 0) return out;
+  out.push_back({{0}});
+  for (int c = 1; c < n; ++c) {
+    std::vector<std::vector<std::vector<int>>> grown;
+    for (const auto& partition : out) {
+      for (size_t b = 0; b <= partition.size(); ++b) {
+        std::vector<std::vector<int>> next = partition;
+        if (b == partition.size()) {
+          next.push_back({c});
+        } else {
+          next[b].push_back(c);
+        }
+        grown.push_back(std::move(next));
+      }
+    }
+    out = std::move(grown);
+  }
+  return out;
+}
+
+std::vector<PartitionMachine> MakePartitionMachines(const Alphabet& sigma) {
+  std::vector<PartitionMachine> out;
+  for (int arity = 2; arity <= 4; ++arity) {
+    for (std::vector<std::vector<int>>& blocks : SetPartitions(arity)) {
+      AlgebraExpr joined = OrDie(
+          JoinByPartition(AlgebraExpr::Relation("_", arity), blocks, sigma),
+          "partition machine");
+      out.push_back({arity, std::move(blocks), Fsa(joined.Left().fsa())});
+    }
+  }
+  return out;
+}
+
+AlgebraExpr RandomPartitionJoin(RandomSource& rand, const FsaPool& pool,
+                                const std::vector<PartitionMachine>& machines) {
+  AlgebraExpr left = AlgebraExpr::Relation("P", 2);
+  AlgebraExpr right = left;
+  std::vector<std::vector<int>> two_keys = {{0, 2}, {1, 3}};
+  const bool p_times_p = rand.Range(0, 3) == 0;
+  if (!p_times_p) {
+    auto operand = [&]() {
+      AlgebraExpr e = RandomAlgebraExpr(rand, pool, 1);
+      if (e.arity() == 0) return AlgebraExpr::Relation("R0", 1);
+      if (e.arity() > 2) return AlgebraExpr::Relation("P", 2);
+      return e;
+    };
+    left = operand();
+    right = operand();
+  }
+  std::vector<const PartitionMachine*> fitting;
+  for (const PartitionMachine& m : machines) {
+    if (m.arity == left.arity() + right.arity() &&
+        (!p_times_p || m.blocks == two_keys)) {
+      fitting.push_back(&m);
+    }
+  }
+  const PartitionMachine& machine = *fitting[static_cast<size_t>(
+      rand.Range(0, static_cast<int>(fitting.size()) - 1))];
+  AlgebraExpr selected =
+      OrDie(AlgebraExpr::Select(
+                AlgebraExpr::Product(std::move(left), std::move(right)),
+                Fsa(machine.fsa)),
+            "partition join");
+  if (rand.Coin()) return selected;
+  std::vector<int> columns;
+  for (const std::vector<int>& block : machine.blocks) {
+    columns.push_back(block.front());
+  }
+  return OrDie(AlgebraExpr::Project(std::move(selected), std::move(columns)),
+               "partition join projection");
 }
 
 std::string RandomStringFormulaText(RandomSource& rand, const Alphabet& sigma,

@@ -63,6 +63,30 @@ FsaPool MakeFsaPool(const Alphabet& sigma);
 // A pool machine of the given arity (coin-flipped where two exist).
 const Fsa& PoolMachine(const FsaPool& pool, RandomSource& rand, int tapes);
 
+// Every set partition of {0, …, n-1}: blocks ascending, ordered by their
+// least element.
+std::vector<std::vector<std::vector<int>>> SetPartitions(int n);
+
+// One Theorem 4.2 join automaton: the σ of JoinByPartition over `arity`
+// columns, accepting exactly the tuples whose columns agree within every
+// block.
+struct PartitionMachine {
+  int arity = 0;
+  std::vector<std::vector<int>> blocks;
+  Fsa fsa;
+};
+// The partition machines of every partition of 2–4 columns.
+std::vector<PartitionMachine> MakePartitionMachines(const Alphabet& sigma);
+
+// σ_A(F1 × F2) with A a partition machine of the product's arity: the
+// shape Theorem 4.2 gives a conjunction that shares variables, and the
+// engine's hash-join input.  F1 and F2 are random operands of arity 1–2;
+// one case in four is the two-key join of P × P on {0,2}{1,3}.  Half the
+// results carry JoinByPartition's block projection.  `machines` must
+// come from MakePartitionMachines.
+AlgebraExpr RandomPartitionJoin(RandomSource& rand, const FsaPool& pool,
+                                const std::vector<PartitionMachine>& machines);
+
 // A random algebra expression of arity <= 3 and depth <= `depth` over
 // the relations of RandomDatabase.  Bare Σ* appears only in the
 // finitely-evaluable form σ_A(F × (Σ*)^n), mirroring the class the

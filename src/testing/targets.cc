@@ -950,13 +950,18 @@ EngineOptions PlainEngineOptions() {
 
 EngineDiffTarget::EngineDiffTarget()
     : pool_(MakeFsaPool(Alphabet::Binary())),
+      joins_(MakePartitionMachines(Alphabet::Binary())),
       engine_(),
       plain_engine_(PlainEngineOptions()) {}
 
 DiffTarget::CasePtr EngineDiffTarget::Generate(RandomSource& rand) const {
   Alphabet sigma = Alphabet::Binary();
   Database db = RandomDatabase(rand, sigma);
-  AlgebraExpr expr = RandomAlgebraExpr(rand, pool_, 4);
+  // One case in four is a Theorem 4.2 partition join, the hash-join
+  // path's input; RandomAlgebraExpr alone never reaches four tapes.
+  AlgebraExpr expr = rand.Range(0, 3) == 0
+                         ? RandomPartitionJoin(rand, pool_, joins_)
+                         : RandomAlgebraExpr(rand, pool_, 4);
   auto c = std::make_unique<EngineCase>(std::move(db), std::move(expr));
   if (rand.Range(0, 2) == 0) {
     static constexpr int64_t kStepLimits[] = {1, 10, 100, 1000, 10000};

@@ -126,6 +126,7 @@ class EngineDiffTarget : public DiffTarget {
 
  private:
   FsaPool pool_;
+  std::vector<PartitionMachine> joins_;  // RandomPartitionJoin's machines
   // Shared across cases on purpose: cross-case artifact-cache reuse is
   // part of what the sweep should exercise.  Answers must not depend on
   // cache state — that is the property under test.

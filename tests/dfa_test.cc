@@ -7,8 +7,10 @@
 // and give identical answers from the scalar and the batch interpreters.
 #include "fsa/codegen/program.h"
 
+#include <algorithm>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -376,6 +378,154 @@ TEST(DfaCompileTest, ConcurrentCompileAndRunIsRaceFree) {
   }
   for (auto& t : threads) t.join();
   for (int v : verdicts) EXPECT_EQ(v, 50);  // x=y=z tuples all accept
+}
+
+// --- ImpliedEqualTapes soundness oracle ------------------------------------
+
+// Every tuple of `tapes` strings over Σ of length ≤ max_len.
+std::vector<std::vector<std::string>> AllTuples(const Alphabet& sigma,
+                                                int tapes, int max_len) {
+  const std::vector<std::string> words = sigma.StringsUpTo(max_len);
+  std::vector<std::vector<std::string>> out = {{}};
+  for (int t = 0; t < tapes; ++t) {
+    std::vector<std::vector<std::string>> grown;
+    for (const std::vector<std::string>& prefix : out) {
+      for (const std::string& w : words) {
+        grown.push_back(prefix);
+        grown.back().push_back(w);
+      }
+    }
+    out = std::move(grown);
+  }
+  return out;
+}
+
+// The pairs `fsa`'s DFA reports, checked against every tuple the
+// reference BFS accepts (strings up to length 3, or 2 on four tapes).
+// Returns the pairs; `accepted` receives the number of accepted tuples.
+std::vector<std::pair<int, int>> CheckImpliedEqualities(const Fsa& fsa,
+                                                        int* accepted) {
+  *accepted = 0;
+  Result<Dfa> dfa = BuildDfa(fsa);
+  if (!dfa.ok()) return {};
+  std::vector<std::pair<int, int>> pairs = ImpliedEqualTapes(*dfa);
+  if (pairs.empty()) return pairs;
+  const int k = fsa.num_tapes();
+  for (const std::vector<std::string>& tuple :
+       AllTuples(fsa.alphabet(), k, k >= 4 ? 2 : 3)) {
+    Result<AcceptStats> oracle = AcceptsWithStats(fsa, tuple);
+    EXPECT_TRUE(oracle.ok()) << oracle.status();
+    if (!oracle.ok() || !oracle->accepted) continue;
+    ++*accepted;
+    for (const auto& [i, j] : pairs) {
+      EXPECT_EQ(tuple[static_cast<size_t>(i)], tuple[static_cast<size_t>(j)])
+          << "reported t" << i << " = t" << j << " but an accepted tuple "
+          << "differs:\n" << fsa.ToString();
+    }
+  }
+  return pairs;
+}
+
+TEST(ImpliedEqualTapesTest, PoolMachines) {
+  testgen::FsaPool pool = testgen::MakeFsaPool(Alphabet::Binary());
+  int accepted = 0;
+  EXPECT_TRUE(CheckImpliedEqualities(pool.even1, &accepted).empty());
+  EXPECT_EQ(CheckImpliedEqualities(pool.eq2, &accepted),
+            (std::vector<std::pair<int, int>>{{0, 1}}));
+  EXPECT_GT(accepted, 0);
+  EXPECT_TRUE(CheckImpliedEqualities(pool.prefix2, &accepted).empty());
+  // x = y.z guesses its split point: BuildDfa refuses it outright.
+  EXPECT_FALSE(BuildDfa(pool.concat3).ok());
+}
+
+// Equal symbols on every row are not enough: this machine lets tape 0
+// skip one 'a' ahead of tape 1, then reads the rest in lockstep, so it
+// accepts ("aab", "ab").  Only the lockstep-move condition refuses the
+// pair.
+TEST(ImpliedEqualTapesTest, HeadsMustMoveInLockstep) {
+  Fsa fsa(Alphabet::Binary(), 2);
+  const int first = fsa.AddState();
+  const int rest = fsa.AddState();
+  const int done = fsa.AddState();
+  fsa.SetFinal(done);
+  ASSERT_TRUE(fsa.AddTransitionSpec(fsa.start(), first, "<<", "++").ok());
+  ASSERT_TRUE(fsa.AddTransitionSpec(first, rest, "aa", "+0").ok());
+  ASSERT_TRUE(fsa.AddTransitionSpec(rest, rest, "aa", "++").ok());
+  ASSERT_TRUE(fsa.AddTransitionSpec(rest, rest, "bb", "++").ok());
+  ASSERT_TRUE(fsa.AddTransitionSpec(rest, done, ">>", "00").ok());
+  Result<AcceptStats> skewed = AcceptsWithStats(fsa, {"aab", "ab"});
+  ASSERT_TRUE(skewed.ok() && skewed->accepted);
+  int accepted = 0;
+  EXPECT_TRUE(CheckImpliedEqualities(fsa, &accepted).empty());
+}
+
+// Theorem 4.2's join automata report exactly their block pairs, over
+// every partition of 2–4 columns (the all-singleton ones report none).
+TEST(ImpliedEqualTapesTest, PartitionMachinesReportTheirBlocks) {
+  for (const testgen::PartitionMachine& m :
+       testgen::MakePartitionMachines(Alphabet::Binary())) {
+    std::vector<std::pair<int, int>> expected;
+    for (int i = 0; i < m.arity; ++i) {
+      for (int j = i + 1; j < m.arity; ++j) {
+        for (const std::vector<int>& block : m.blocks) {
+          if (std::count(block.begin(), block.end(), i) > 0 &&
+              std::count(block.begin(), block.end(), j) > 0) {
+            expected.emplace_back(i, j);
+          }
+        }
+      }
+    }
+    int accepted = 0;
+    EXPECT_EQ(CheckImpliedEqualities(m.fsa, &accepted), expected)
+        << "arity " << m.arity << ", " << m.blocks.size() << " blocks";
+    if (!expected.empty()) EXPECT_GT(accepted, 0);
+  }
+}
+
+// `fsa` with one more tape that mirrors tape `tape`: every transition
+// reads and moves the new tape exactly as that one.  Heads in lockstep
+// do not make the strings equal on their own — a machine that accepts
+// before both heads reach ⊣ must not report the pair.
+Fsa MirrorTape(const Fsa& fsa, int tape) {
+  Fsa out(fsa.alphabet(), fsa.num_tapes() + 1);
+  while (out.num_states() < fsa.num_states()) out.AddState();
+  out.SetStart(fsa.start());
+  for (int s = 0; s < fsa.num_states(); ++s) {
+    if (fsa.IsFinal(s)) out.SetFinal(s);
+  }
+  for (Transition t : fsa.transitions()) {
+    t.read.push_back(t.read[static_cast<size_t>(tape)]);
+    t.move.push_back(t.move[static_cast<size_t>(tape)]);
+    EXPECT_TRUE(out.AddTransition(std::move(t)).ok());
+  }
+  return out;
+}
+
+// Random one-way machines, plain and with a mirrored tape: whatever the
+// test reports must hold on every accepted tuple.  Machines accepting
+// nothing report every pair vacuously, so the sweep must also meet
+// machines that accept something and still report a pair — and mirrored
+// machines whose pair is refused.
+TEST(ImpliedEqualTapesTest, RandomOneWayMachinesAreSound) {
+  Alphabet sigma = Alphabet::Binary();
+  RngSource rng(20261017);
+  int nonvacuous = 0;
+  int mirrors_refused = 0;
+  for (int trial = 0; trial < 300; ++trial) {
+    testgen::FsaGenOptions options;
+    options.one_way_only = true;
+    options.max_tapes = 2;
+    Fsa fsa = testgen::RandomFsa(rng, sigma, options);
+    int accepted = 0;
+    CheckImpliedEqualities(fsa, &accepted);
+    Fsa mirrored = MirrorTape(fsa, rng.Range(0, fsa.num_tapes() - 1));
+    std::vector<std::pair<int, int>> pairs =
+        CheckImpliedEqualities(mirrored, &accepted);
+    if (!pairs.empty() && accepted > 0) ++nonvacuous;
+    if (pairs.empty() && BuildDfa(mirrored).ok()) ++mirrors_refused;
+  }
+  EXPECT_GT(nonvacuous, 0);
+  EXPECT_GT(mirrors_refused, 0);
 }
 
 }  // namespace

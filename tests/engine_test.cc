@@ -8,6 +8,7 @@
 #include <atomic>
 #include <cmath>
 #include <optional>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -843,6 +844,51 @@ TEST(EngineTest, ExplainAnnotatesEstimatedAndActualRows) {
     EXPECT_GE(row.est, 0) << row.op;
     EXPECT_GE(row.act, 0) << row.op;
   }
+}
+
+// σ_eq(A × B) runs as one hash-join operator.  Its explain line carries
+// the key, est/act and [in= out=]; ExecStats keeps one row per operator;
+// the answer matches the naive evaluator; and the feedback table learns
+// out / (|A|·|B|), the selectivity the filter over A × B used to report,
+// not out / (|A|+|B|).
+TEST(EngineTest, HashJoinFeedsBackSelectivityOverTheProduct) {
+  Alphabet sigma = Alphabet::Binary();
+  Database db(sigma);
+  ASSERT_TRUE(db.Put("A", 1, {{"a"}, {"ab"}, {"ba"}, {"bbb"}}).ok());
+  ASSERT_TRUE(db.Put("B", 1, {{"ab"}, {"b"}, {"bbb"}, {""}}).ok());
+  Fsa eq = Compile("([x,y]l(x = y))* . [x,y]l(x = ~ & y = ~)", sigma,
+                   {"x", "y"});
+  const std::string key = ArtifactCache::FsaKey(eq);
+  Result<AlgebraExpr> query = AlgebraExpr::Select(
+      AlgebraExpr::Product(AlgebraExpr::Relation("A", 1),
+                           AlgebraExpr::Relation("B", 1)),
+      std::move(eq));
+  ASSERT_TRUE(query.ok()) << query.status();
+
+  Engine engine;
+  Counter* joins = MetricsRegistry::Global().GetCounter("engine.hash_joins");
+  const int64_t joins_before = joins->value();
+  ExecStats stats;
+  Result<StringRelation> out = engine.Execute(*query, db, kOpts, &stats);
+  ASSERT_TRUE(out.ok()) << out.status();
+  Result<StringRelation> naive = EvalAlgebra(*query, db, kOpts);
+  ASSERT_TRUE(naive.ok()) << naive.status();
+  EXPECT_EQ(out->tuples(), naive->tuples());
+  EXPECT_EQ(out->tuples(), (std::set<Tuple>{{"ab", "ab"}, {"bbb", "bbb"}}));
+  EXPECT_EQ(joins->value(), joins_before + 1);
+
+  EXPECT_EQ(stats.plan.rfind("hash-join[0=1]", 0), 0u) << stats.plan;
+  const std::string head = stats.plan.substr(0, stats.plan.find('\n'));
+  EXPECT_NE(head.find("est="), std::string::npos) << head;
+  EXPECT_NE(head.find("act=2"), std::string::npos) << head;
+  EXPECT_NE(head.find("[in=8 out=2"), std::string::npos) << head;
+  ASSERT_EQ(stats.operators.size(), 3u);  // hash-join, scan A, scan B
+  EXPECT_EQ(stats.operators[0].op, "hash-join");
+  EXPECT_EQ(stats.operators[0].act, 2);
+
+  double learned = 0;
+  ASSERT_TRUE(engine.feedback().Lookup(key, &learned));
+  EXPECT_DOUBLE_EQ(learned, 2.0 / 16.0);
 }
 
 }  // namespace

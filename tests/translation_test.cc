@@ -73,6 +73,35 @@ TEST(TranslationTest, ConjunctionJoinsSharedVariables) {
       P("R1(x,y) & ([x,y]l(x = y))* . [x,y]l(x = y = ~)"), MakeDb());
 }
 
+// A conjunction without shared variables adds nothing but the product:
+// no σ (the all-singleton partition's automaton accepts every tuple),
+// and a π only where the columns would not ascend.
+TEST(TranslationTest, DisjointConjunctionIsABareProduct) {
+  Database db(Alphabet::Binary());
+  ASSERT_TRUE(db.Put("A", 1, {{"a"}, {"ab"}, {""}}).ok());
+  ASSERT_TRUE(db.Put("B", 1, {{"b"}, {"ab"}}).ok());
+  Result<AlgebraExpr> a = CalcToAlgebra(P("A(x)"), db.alphabet());
+  Result<AlgebraExpr> b = CalcToAlgebra(P("B(y)"), db.alphabet());
+  ASSERT_TRUE(a.ok() && b.ok());
+
+  Result<AlgebraExpr> ordered = CalcToAlgebra(P("A(x) & B(y)"), db.alphabet());
+  ASSERT_TRUE(ordered.ok()) << ordered.status();
+  ASSERT_EQ(ordered->kind(), AlgebraExpr::Kind::kProduct)
+      << ordered->ToString();
+  EXPECT_EQ(ordered->Left().ToString(), a->ToString());
+  EXPECT_EQ(ordered->Right().ToString(), b->ToString());
+  ExpectTranslationAgrees(P("A(x) & B(y)"), db);
+
+  Result<AlgebraExpr> swapped = CalcToAlgebra(P("B(y) & A(x)"), db.alphabet());
+  ASSERT_TRUE(swapped.ok()) << swapped.status();
+  ASSERT_EQ(swapped->kind(), AlgebraExpr::Kind::kProject)
+      << swapped->ToString();
+  EXPECT_EQ(swapped->columns(), (std::vector<int>{1, 0}));
+  ASSERT_EQ(swapped->Left().kind(), AlgebraExpr::Kind::kProduct);
+  EXPECT_EQ(swapped->Left().Left().ToString(), b->ToString());
+  ExpectTranslationAgrees(P("B(y) & A(x)"), db);
+}
+
 TEST(TranslationTest, Negation) {
   ExpectTranslationAgrees(P("!R2(x)"), MakeDb());
   ExpectTranslationAgrees(P("R1(x,y) & !R2(x)"), MakeDb());
