@@ -392,22 +392,19 @@ Result<QueryEvalRow> MeasureQueryEval(const std::string& name,
   return row;
 }
 
-// --- E26: cost-based DP planner vs the heuristic product order ---
+// --- E26: cost-based DP planner vs the worst product order ---
 //
-// A skewed 3-way product chain built to fool the heuristic's fixed 1/4
-// selectivity assumption:
-//   * σ_member(a)(Big)      — keeps every row (all rows contain 'a'),
-//                             but the heuristic estimates |Big|/4;
-//   * Mid                   — a plain relation, estimated exactly;
+// A skewed 3-way product chain whose written order is the worst one:
+//   * σ_member(a)(Big)      — keeps every row (all rows contain 'a');
+//   * Mid                   — a plain relation;
 //   * σ_member(pat)(Huge)   — keeps nothing (every Huge row is shorter
-//                             than the twelve-character needle), but the
-//                             heuristic estimates |Huge|/4 — the largest
-//                             estimate of the three.
-// Ascending by those estimates, the heuristic materialises Big×Mid
-// first and applies the empty filter last — the worst left-deep order,
-// and the one the query is written in.  The DP planner's DFA
-// acceptance-density estimate ranks the needle filter first, so the
-// downstream products never materialise a single tuple.
+//                             than the twelve-character needle), yet is
+//                             the largest input of the three.
+// Written order materialises Big×Mid first and applies the empty filter
+// last.  A flat selectivity guess (say 1/4) would also rank the needle
+// filter last.  The DP planner's DFA acceptance-density estimate ranks
+// it first, so the downstream products never materialise a single
+// tuple.
 Database MakePlannerDb(int big, int mid, int huge_rows, uint64_t seed,
                        const std::string& pattern) {
   Database db(Alphabet::Binary());
@@ -454,10 +451,9 @@ struct PlannerChainRow {
   int tuples = 0;
   int reps = 0;
   size_t answers = 0;
-  double worst_ns_per_tuple = 0;      // reordering off, worst written order
-  double heuristic_ns_per_tuple = 0;  // heuristic reorder (picks the same)
-  double dp_ns_per_tuple = 0;         // cost-based DP planner
-  double dp_speedup = 0;              // worst / dp
+  double worst_ns_per_tuple = 0;  // reordering off, worst written order
+  double dp_ns_per_tuple = 0;     // cost-based DP planner
+  double dp_speedup = 0;          // worst / dp
 };
 
 Result<PlannerChainRow> MeasurePlannerChain(bool quick) {
@@ -474,22 +470,17 @@ Result<PlannerChainRow> MeasurePlannerChain(bool quick) {
   opts.truncation = 16;
 
   EngineOptions worst_opts;
-  worst_opts.enable_cost_planner = false;
   worst_opts.rewrites.reorder_products = false;  // pinned to written order
-  EngineOptions heuristic_opts;
-  heuristic_opts.enable_cost_planner = false;
   Engine worst_engine(worst_opts);
-  Engine heuristic_engine(heuristic_opts);
-  Engine dp_engine;  // defaults: cost planner on
+  Engine dp_engine;  // defaults: DP planner orders products
 
   Result<StringRelation> a = dp_engine.Execute(query, db, opts);
-  Result<StringRelation> b = heuristic_engine.Execute(query, db, opts);
-  Result<StringRelation> c = worst_engine.Execute(query, db, opts);
-  if (!a.ok() || !b.ok() || !c.ok() || !(*a == *b) || !(*b == *c)) {
+  Result<StringRelation> b = worst_engine.Execute(query, db, opts);
+  if (!a.ok() || !b.ok() || !(*a == *b)) {
     return Status::Internal("planner_chain: plan routes disagree");
   }
 
-  // Per-engine rep calibration: the three plans are orders of magnitude
+  // Per-engine rep calibration: the two plans are orders of magnitude
   // apart, so a shared rep count would measure the fast plan over a few
   // cold passes.  Each engine gets warmup passes and enough reps to
   // amortise them.
@@ -519,9 +510,8 @@ Result<PlannerChainRow> MeasurePlannerChain(bool quick) {
   row.tuples = tuples;
   row.answers = a->size();
   row.worst_ns_per_tuple = measure(worst_engine);
-  row.heuristic_ns_per_tuple = measure(heuristic_engine);
   row.dp_ns_per_tuple = measure(dp_engine);
-  row.reps = min_reps;  // the smallest of the three calibrated counts
+  row.reps = min_reps;  // the smaller of the two calibrated counts
   row.dp_speedup = row.worst_ns_per_tuple / row.dp_ns_per_tuple;
   return row;
 }
@@ -685,16 +675,14 @@ int RunJsonMode(const std::string& path, bool quick) {
         << ", \"reps\": " << p.reps << ", \"answers\": " << p.answers
         << ", \"worst_ns_per_tuple\": "
         << static_cast<int64_t>(p.worst_ns_per_tuple)
-        << ", \"heuristic_ns_per_tuple\": "
-        << static_cast<int64_t>(p.heuristic_ns_per_tuple)
         << ", \"dp_ns_per_tuple\": "
         << static_cast<int64_t>(p.dp_ns_per_tuple) << ", \"dp_speedup\": "
         << static_cast<double>(static_cast<int64_t>(p.dp_speedup * 100)) / 100
         << "},\n";
-    std::printf("%-20s worst %8.0f ns/tuple  heuristic %8.0f ns/tuple  "
-                "dp %8.0f ns/tuple  dp speedup %.2fx\n",
-                p.name.c_str(), p.worst_ns_per_tuple, p.heuristic_ns_per_tuple,
-                p.dp_ns_per_tuple, p.dp_speedup);
+    std::printf("%-20s worst %8.0f ns/tuple  dp %8.0f ns/tuple  "
+                "dp speedup %.2fx\n",
+                p.name.c_str(), p.worst_ns_per_tuple, p.dp_ns_per_tuple,
+                p.dp_speedup);
   }
   {
     const EquiJoinRow& j = *join;

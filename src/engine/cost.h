@@ -28,9 +28,11 @@ struct CostModel {
 };
 
 // Everything the cost-based planner needs, bundled so the rewrite
-// pipeline can carry it as one optional pointer.  All pointers are
-// unowned and may be null (each consumer degrades to the heuristic it
-// replaces); the context must outlive the RewriteExpr call.
+// pipeline and the engine's plan lowering share one argument.  All
+// pointers are unowned.  RewriteExpr requires `db`; any other null
+// pointer just removes its input: no statistics (a relation is then
+// estimated at its paged tuple count, else 0 rows), no feedback, no
+// density memo, no artifact cache.
 struct CostPlannerContext {
   const Database* db = nullptr;
   const PagedSet* paged = nullptr;
@@ -42,7 +44,6 @@ struct CostPlannerContext {
   DensityCache* densities = nullptr;
   ArtifactCache* cache = nullptr;
   int truncation = 4;
-  bool enable_dfa = true;
   CostModel model;
 };
 
@@ -60,8 +61,8 @@ std::vector<ColumnDist> EstimateColumnDists(const AlgebraExpr& expr,
                                             const CostPlannerContext& ctx);
 
 // Statistics-backed cardinality estimate for db(E↓l).  Always finite
-// and non-negative; falls back to EstimateCardinality's heuristics when
-// no statistics reach a leaf.
+// and non-negative.  Domains count Σ^{<=l} exactly; a relation with no
+// statistics and no paged heap is estimated at 0 rows.
 double EstimateRows(const AlgebraExpr& expr, const CostPlannerContext& ctx);
 
 // σ_A selectivity in [0, 1]: the DFA acceptance density under the

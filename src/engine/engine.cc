@@ -29,15 +29,6 @@ int64_t ElapsedNs(Clock::time_point since) {
       .count();
 }
 
-void FlattenProduct(const AlgebraExpr& e, std::vector<AlgebraExpr>* out) {
-  if (e.kind() == Kind::kProduct) {
-    FlattenProduct(e.Left(), out);
-    FlattenProduct(e.Right(), out);
-  } else {
-    out->push_back(e);
-  }
-}
-
 // Fetches (or compiles) the DFA-tier artifact for `node`'s automaton:
 // the program plus its implied tape equalities, or a typed refusal
 // (two-way, nondeterministic head schedule, past the subset caps).
@@ -77,27 +68,17 @@ Result<std::shared_ptr<const DfaCompilation>> LookupDfa(
 // to one PlanNode, which the executor evaluates once.
 class Planner {
  public:
-  Planner(const Database& db, const EvalOptions& options,
-          const CostPlannerContext* cost_ctx, bool enable_dfa,
-          ArtifactCache* cache)
-      : db_(db),
-        options_(options),
-        cost_ctx_(cost_ctx),
-        enable_dfa_(enable_dfa),
-        cache_(cache) {}
+  // `ctx` supplies the database, the artifact cache and the estimates;
+  // it must outlive the planner.
+  Planner(const CostPlannerContext& ctx, const EvalOptions& options,
+          bool enable_dfa)
+      : ctx_(ctx), options_(options), enable_dfa_(enable_dfa) {}
 
   Result<std::shared_ptr<PlanNode>> Lower(const AlgebraExpr& e) {
     auto it = memo_.find(e.node_identity());
     if (it != memo_.end()) return it->second;
     STRDB_ASSIGN_OR_RETURN(std::shared_ptr<PlanNode> node, LowerNew(e));
-    if (cost_ctx_ != nullptr) {
-      node->est_rows = EstimateRows(e, *cost_ctx_);
-    } else {
-      node->est_rows =
-          node->op == Op::kPagedScan
-              ? static_cast<double>(node->source->tuple_count())
-              : EstimateCardinality(e, db_, options_.truncation);
-    }
+    node->est_rows = EstimateRows(e, ctx_);
     memo_.emplace(e.node_identity(), node);
     return node;
   }
@@ -111,7 +92,7 @@ class Planner {
         node->relation = e.relation_name();
         // A name absent from the catalog but present in the paged set is
         // a spilled relation: scan it out-of-core.
-        if (options_.paged != nullptr && !db_.Has(node->relation)) {
+        if (options_.paged != nullptr && !ctx_.db->Has(node->relation)) {
           auto spilled = options_.paged->find(node->relation);
           if (spilled != options_.paged->end()) {
             if (spilled->second->arity() != node->arity) {
@@ -186,7 +167,7 @@ class Planner {
         // failed lookup only forgoes the join: execution repeats it
         // and surfaces the error there.
         Result<std::shared_ptr<const DfaCompilation>> dfa =
-            LookupDfa(node.get(), cache_, options_.budget);
+            LookupDfa(node.get(), ctx_.cache, options_.budget);
         if (dfa.ok()) {
           node->dfa = *std::move(dfa);
           const int split = e.Left().Left().arity();
@@ -225,11 +206,9 @@ class Planner {
     return node;
   }
 
-  const Database& db_;
+  const CostPlannerContext& ctx_;  // ctx_.cache: nullptr = no caching
   const EvalOptions& options_;
-  const CostPlannerContext* cost_ctx_;  // nullptr = heuristic estimates
   const bool enable_dfa_;  // the DFA tier, whose artifact licenses joins
-  ArtifactCache* cache_;   // nullptr = caching disabled
   std::unordered_map<const AlgebraExpr::Node*, std::shared_ptr<PlanNode>>
       memo_;
 };
@@ -572,8 +551,7 @@ class Executor {
         steps[static_cast<size_t>(i)] = res->configurations_visited;
       }
     };
-    bool parallel = engine_options_.enable_parallel &&
-                    pool_->num_threads() > 1 &&
+    bool parallel = pool_->num_threads() > 1 &&
                     n >= engine_options_.parallel_threshold;
     if (parallel) {
       pool_->ParallelFor(n, check_range);
@@ -620,8 +598,7 @@ class Executor {
             // would have been, so the flag changes memory, not cost.
             STRDB_RETURN_IF_ERROR(options_.budget->ChargeRows(n));
           }
-          bool parallel = engine_options_.enable_parallel &&
-                          pool_->num_threads() > 1 &&
+          bool parallel = pool_->num_threads() > 1 &&
                           n >= engine_options_.parallel_threshold;
           if (dfa != nullptr && !parallel) {
             // The streamed batch drives the DFA tier's lane interpreter
@@ -892,7 +869,7 @@ struct EngineMetrics {
 Engine::Engine(EngineOptions options)
     : options_(options),
       cache_(options.cache_max_bytes),
-      pool_(options.enable_parallel ? options.num_threads : 1) {}
+      pool_(options.num_threads) {}
 
 Result<std::shared_ptr<PlanNode>> Engine::Plan(const AlgebraExpr& expr,
                                                const Database& db,
@@ -906,20 +883,12 @@ Result<std::shared_ptr<PlanNode>> Engine::Plan(const AlgebraExpr& expr,
   cost_ctx.densities = &densities_;
   cost_ctx.cache = options_.enable_cache ? &cache_ : nullptr;
   cost_ctx.truncation = options.truncation;
-  cost_ctx.enable_dfa = options_.enable_dfa && options.enable_dfa;
   AlgebraExpr target = expr;
   if (options_.enable_rewrites) {
-    RewriteOptions rewrites = options_.rewrites;
-    if (options_.enable_cost_planner) {
-      rewrites.cost_planner = &cost_ctx;
-    }
     STRDB_ASSIGN_OR_RETURN(target,
-                           RewriteExpr(expr, db, options, rewrites));
+                           RewriteExpr(expr, cost_ctx, options_.rewrites));
   }
-  Planner planner(db, options,
-                  options_.enable_cost_planner ? &cost_ctx : nullptr,
-                  options_.enable_dfa,
-                  options_.enable_cache ? &cache_ : nullptr);
+  Planner planner(cost_ctx, options, options_.enable_dfa);
   return planner.Lower(target);
 }
 
@@ -937,10 +906,8 @@ Result<StringRelation> Engine::Execute(const AlgebraExpr& expr,
   Result<const StringRelation*> result = executor.Eval(root.get());
   int64_t wall_ns = ElapsedNs(start);
   metrics.wall_us->Record(wall_ns / 1000);
-  if (options_.enable_cost_planner) {
-    std::set<const PlanNode*> seen;
-    RecordSelectivities(*root, &seen, &feedback_);
-  }
+  std::set<const PlanNode*> seen;
+  RecordSelectivities(*root, &seen, &feedback_);
   if (!result.ok()) {
     // The plan nodes keep whatever counters the partial run accumulated,
     // so a budget-exhausted query is still fully observable.

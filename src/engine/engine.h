@@ -39,24 +39,16 @@ struct EngineOptions {
   // (and the kernel to the reference BFS), so the fallback ladder is
   // DFA → kernel → BFS and answers are identical at every rung.
   bool enable_dfa = true;
-  // Partition filter-select inputs across the thread pool.  Inputs
+  // Partition filter-select inputs across a pool of `num_threads`
+  // threads (1 = serial; <= 0 picks hardware_concurrency()).  Inputs
   // smaller than `parallel_threshold` tuples run on the calling thread.
-  bool enable_parallel = true;
-  int num_threads = 0;  // <= 0 picks hardware_concurrency()
+  int num_threads = 0;
   int64_t parallel_threshold = 32;
   // Stream spilled (out-of-core) relations through σ_A filters batch by
   // batch instead of materialising them first.  Off = paged relations
   // are materialised on first use (the differential oracle path);
   // answers are identical either way, only peak memory differs.
   bool enable_paged = true;
-  // Replace the heuristic product-reordering pass with the cost-based
-  // DP planner (engine/planner): statistics-backed cardinalities, σ_A
-  // selectivity from DFA acceptance density, Selinger bitset DP over
-  // product factors (with tape permutation under a σ), and observed
-  // selectivities fed back as adaptive corrections.  Any estimation
-  // failure falls back to the heuristic order; answers are identical
-  // either way, only plan shape differs.
-  bool enable_cost_planner = true;
 };
 
 // Planning + execution engine for the alignment algebra: lowers an

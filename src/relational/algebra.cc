@@ -141,10 +141,6 @@ std::shared_ptr<const Fsa> AlgebraExpr::shared_fsa() const {
   return node_->fsa;
 }
 
-namespace {
-
-// Flattens nested products into a factor list (left-to-right column
-// order).
 void FlattenProduct(const AlgebraExpr& e, std::vector<AlgebraExpr>* out) {
   if (e.kind() == AlgebraExpr::Kind::kProduct) {
     FlattenProduct(e.Left(), out);
@@ -154,7 +150,13 @@ void FlattenProduct(const AlgebraExpr& e, std::vector<AlgebraExpr>* out) {
   }
 }
 
-}  // namespace
+AlgebraExpr BuildProduct(std::vector<AlgebraExpr> factors) {
+  AlgebraExpr out = std::move(factors.front());
+  for (size_t i = 1; i < factors.size(); ++i) {
+    out = AlgebraExpr::Product(std::move(out), std::move(factors[i]));
+  }
+  return out;
+}
 
 bool AlgebraExpr::IsFinitelyEvaluable() const {
   switch (kind()) {

@@ -88,6 +88,13 @@ class AlgebraExpr {
   friend class AlgebraEvaluator;
 };
 
+// Flattens nested products into their factor list, in left-to-right
+// column order; any other expression is its own single factor.
+void FlattenProduct(const AlgebraExpr& e, std::vector<AlgebraExpr>* out);
+
+// The left-associated product F1 × … × Fm of a non-empty factor list.
+AlgebraExpr BuildProduct(std::vector<AlgebraExpr> factors);
+
 struct EvalOptions {
   // The truncation length l: every Σ* is read as Σ^l (Theorem 4.2's
   // E↓l semantics) and generated strings are bounded by l.
@@ -114,11 +121,13 @@ struct EvalOptions {
   // plan quality, not correctness.  Not owned; nullptr = recompute from
   // the Database on demand.
   const StatsMap* stats = nullptr;
-  // Run plain-filtering σ_A through the DFA codegen tier when the
-  // automaton admits it (one-way, move-deterministic, within the subset
-  // caps), falling back to the reference BFS otherwise.  Answers are
-  // identical either way; differential oracles pin this to false so the
-  // naive evaluator stays an independent implementation.
+  // Run EvalAlgebra's plain-filtering σ_A through the DFA codegen tier
+  // when the automaton admits it (one-way, move-deterministic, within
+  // the subset caps), falling back to the reference BFS otherwise.
+  // Only EvalAlgebra reads it: the engine's tiers are set by
+  // EngineOptions.  Answers are identical either way; differential
+  // oracles pin this to false so the naive evaluator stays an
+  // independent implementation.
   bool enable_dfa = true;
 };
 

@@ -2572,9 +2572,9 @@ namespace {
 
 constexpr char kPlannerDir[] = "/plannerstore";
 
-EngineOptions HeuristicEngineOptions() {
+EngineOptions WrittenOrderEngineOptions() {
   EngineOptions options;
-  options.enable_cost_planner = false;
+  options.rewrites.reorder_products = false;
   return options;
 }
 
@@ -2649,7 +2649,7 @@ std::optional<Divergence> CheckStoreStats(const CatalogStore& store,
 PlannerDiffTarget::PlannerDiffTarget()
     : pool_(MakeFsaPool(Alphabet::Binary())),
       cost_engine_(),
-      heuristic_engine_(HeuristicEngineOptions()) {}
+      written_order_engine_(WrittenOrderEngineOptions()) {}
 
 DiffTarget::CasePtr PlannerDiffTarget::Generate(RandomSource& rand) const {
   Alphabet sigma = Alphabet::Binary();
@@ -2660,7 +2660,7 @@ DiffTarget::CasePtr PlannerDiffTarget::Generate(RandomSource& rand) const {
     c->db = RandomDatabase(rand, sigma);
     if (rand.Range(0, 2) != 0) {
       // Skew the cardinalities: a bulked-up P gives the DP enumeration a
-      // reason to deviate from the heuristic order, which is exactly the
+      // reason to deviate from the written order, which is exactly the
       // regime where plan shape could change answers.
       std::vector<Tuple> bulk;
       int n = rand.Range(20, 80);
@@ -2755,23 +2755,22 @@ std::optional<Divergence> PlannerDiffTarget::RunDiff(
     supplied[name] = ComputeRelationStats(rel);
   }
 
-  // The engine routes run the full tier ladder (dfa ≡ kernel ≡ BFS is
-  // the dfa target's theorem; this target varies plan shape on top).
-  EvalOptions engine_options = options;
-  engine_options.enable_dfa = true;
-  EvalOptions with_stats = engine_options;
+  // The engine routes run the full tier ladder (EngineOptions' default;
+  // dfa ≡ kernel ≡ BFS is the dfa target's theorem, this target varies
+  // plan shape on top).
+  EvalOptions with_stats = options;
   with_stats.stats = &supplied;
   ExecStats exec;
   Result<StringRelation> costed =
       cost_engine_.Execute(pc.expr, pc.db, with_stats, &exec);
   Result<StringRelation> self_stats =
-      cost_engine_.Execute(pc.expr, pc.db, engine_options);
-  Result<StringRelation> heuristic =
-      heuristic_engine_.Execute(pc.expr, pc.db, engine_options);
+      cost_engine_.Execute(pc.expr, pc.db, options);
+  Result<StringRelation> written_order =
+      written_order_engine_.Execute(pc.expr, pc.db, options);
 
   if (!naive.ok()) {
     // A per-call limit error must surface on every route.
-    if (costed.ok() || self_stats.ok() || heuristic.ok()) {
+    if (costed.ok() || self_stats.ok() || written_order.ok()) {
       return Divergence{"naive evaluation failed (" +
                         naive.status().ToString() +
                         ") but a planner route succeeded: " +
@@ -2787,7 +2786,7 @@ std::optional<Divergence> PlannerDiffTarget::RunDiff(
                         : "cost planner (supplied stats)",
          &costed},
         {"cost planner (self-computed stats)", &self_stats},
-        {"heuristic planner", &heuristic}};
+        {"written product order", &written_order}};
     for (const Route& route : routes) {
       if (!route.result->ok()) {
         return Divergence{std::string(route.label) +

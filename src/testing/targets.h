@@ -284,7 +284,7 @@ class PagerDiffTarget : public DiffTarget {
   mutable Engine unpaged_engine_;
 };
 
-// --- cost-based planner vs heuristic vs naïve evaluator ---------------------
+// --- cost-based planner vs written order vs naïve evaluator -----------------
 //
 // Two modes under one target name, mixed by generation:
 //
@@ -293,7 +293,7 @@ class PagerDiffTarget : public DiffTarget {
 //          engine with the cost-based DP planner on and statistics
 //          supplied, the same engine with no statistics supplied (the
 //          engine computes its own through the epoch cache), and the
-//          engine with the cost planner off (heuristic reorder).  All
+//          engine with product reordering off (written order).  All
 //          four must agree tuple-for-tuple or all fail alike — plan
 //          shape must never change answers.  Half of the statistics-fed
 //          runs are handed deliberately *stale* statistics (computed
@@ -355,7 +355,7 @@ class PlannerDiffTarget : public DiffTarget {
   // not depend on accumulated cache/feedback state — that independence
   // is part of what the sweep proves.
   mutable Engine cost_engine_;
-  mutable Engine heuristic_engine_;
+  mutable Engine written_order_engine_;
 };
 
 // --- concurrent server vs serial replay ------------------------------------

@@ -73,6 +73,17 @@ Database MakeDb() {
 const EvalOptions kOpts{.truncation = 4, .max_tuples = 100000,
                         .max_steps = 10'000'000};
 
+// A planner context over `db` backed by `stats`, as the engine builds
+// one per query.
+CostPlannerContext PlannerContext(const Database& db, StatsCatalog* stats,
+                                  int truncation = kOpts.truncation) {
+  CostPlannerContext ctx;
+  ctx.db = &db;
+  ctx.stats = stats;
+  ctx.truncation = truncation;
+  return ctx;
+}
+
 // E8: π1 σ_A(Σ* × R1 × R3), the §4 concatenation showcase.
 AlgebraExpr ConcatQuery(const Alphabet& alphabet) {
   Fsa concat = Compile(
@@ -297,7 +308,9 @@ TEST(RewriteTest, PushdownPullsDisregardedFactorsOut) {
   only_pushdown.specialize_constants = false;
   only_pushdown.reorder_products = false;
   only_pushdown.common_subexpressions = false;
-  Result<AlgebraExpr> rewritten = RewriteExpr(*sel, db, kOpts, only_pushdown);
+  StatsCatalog stats;
+  Result<AlgebraExpr> rewritten =
+      RewriteExpr(*sel, PlannerContext(db, &stats), only_pushdown);
   ASSERT_TRUE(rewritten.ok()) << rewritten.status();
   // The selection now reads only the Pairs columns; R1 joins outside it.
   EXPECT_EQ(rewritten->kind(), AlgebraExpr::Kind::kProject);
@@ -323,8 +336,9 @@ TEST(RewriteTest, SpecializeFoldsSingleTupleRelations) {
   only_specialize.pushdown_selections = false;
   only_specialize.reorder_products = false;
   only_specialize.common_subexpressions = false;
+  StatsCatalog stats;
   Result<AlgebraExpr> rewritten =
-      RewriteExpr(*sel, db, kOpts, only_specialize);
+      RewriteExpr(*sel, PlannerContext(db, &stats), only_specialize);
   ASSERT_TRUE(rewritten.ok()) << rewritten.status();
   EXPECT_EQ(rewritten->kind(), AlgebraExpr::Kind::kProject);
   Result<StringRelation> before = EvalAlgebra(*sel, db, kOpts);
@@ -339,7 +353,9 @@ TEST(RewriteTest, PreservesFiniteEvaluabilityAndArity) {
   Database db = MakeDb();
   AlgebraExpr query = ConcatQuery(db.alphabet());
   ASSERT_TRUE(query.IsFinitelyEvaluable());
-  Result<AlgebraExpr> rewritten = RewriteExpr(query, db, kOpts);
+  StatsCatalog stats;
+  Result<AlgebraExpr> rewritten =
+      RewriteExpr(query, PlannerContext(db, &stats));
   ASSERT_TRUE(rewritten.ok()) << rewritten.status();
   EXPECT_EQ(rewritten->arity(), query.arity());
   EXPECT_TRUE(rewritten->IsFinitelyEvaluable());
@@ -347,15 +363,17 @@ TEST(RewriteTest, PreservesFiniteEvaluabilityAndArity) {
 
 TEST(RewriteTest, ReorderPutsSmallFactorsFirst) {
   Database db = MakeDb();
-  // Σ^2 (7 strings) × R1 (2 tuples): reordering must put R1 first and
-  // restore the column order with a projection.
+  // Σ^2 (7 strings) × R1 (2 tuples): the DP planner must put R1 first
+  // and restore the column order with a projection.
   AlgebraExpr prod = AlgebraExpr::Product(AlgebraExpr::SigmaL(2),
                                           AlgebraExpr::Relation("R1", 1));
   RewriteOptions only_reorder;
   only_reorder.pushdown_selections = false;
   only_reorder.specialize_constants = false;
   only_reorder.common_subexpressions = false;
-  Result<AlgebraExpr> rewritten = RewriteExpr(prod, db, kOpts, only_reorder);
+  StatsCatalog stats;
+  Result<AlgebraExpr> rewritten =
+      RewriteExpr(prod, PlannerContext(db, &stats), only_reorder);
   ASSERT_TRUE(rewritten.ok());
   EXPECT_EQ(rewritten->kind(), AlgebraExpr::Kind::kProject);
   EXPECT_EQ(rewritten->Left().Left().kind(), AlgebraExpr::Kind::kRelation);
@@ -363,16 +381,6 @@ TEST(RewriteTest, ReorderPutsSmallFactorsFirst) {
   Result<StringRelation> after = EvalAlgebra(*rewritten, db, kOpts);
   ASSERT_TRUE(before.ok() && after.ok());
   EXPECT_EQ(before->tuples(), after->tuples());
-}
-
-TEST(RewriteTest, EstimateCardinality) {
-  Database db = MakeDb();
-  EXPECT_EQ(EstimateCardinality(AlgebraExpr::Relation("R1", 1), db, 4), 2.0);
-  EXPECT_EQ(EstimateCardinality(AlgebraExpr::SigmaL(2), db, 4), 7.0);
-  EXPECT_EQ(EstimateCardinality(AlgebraExpr::SigmaStar(), db, 2), 7.0);
-  AlgebraExpr prod = AlgebraExpr::Product(AlgebraExpr::Relation("R1", 1),
-                                          AlgebraExpr::Relation("R3", 1));
-  EXPECT_EQ(EstimateCardinality(prod, db, 4), 4.0);
 }
 
 // --- engine end-to-end -----------------------------------------------------
@@ -456,7 +464,7 @@ TEST(EngineTest, FilterSelectParallelMatchesSerial) {
   parallel_opts.parallel_threshold = 1;
   Engine parallel_engine(parallel_opts);
   EngineOptions serial_opts;
-  serial_opts.enable_parallel = false;
+  serial_opts.num_threads = 1;
   Engine serial_engine(serial_opts);
   Result<StringRelation> p = parallel_engine.Execute(*sel, db, kOpts);
   Result<StringRelation> s = serial_engine.Execute(*sel, db, kOpts);
@@ -517,7 +525,9 @@ TEST(EngineTest, MatchesNaiveEvaluatorOnRandomExpressions) {
     EXPECT_EQ(plain->tuples(), naive->tuples())
         << trial << ": " << expr.ToString();
     // Rewrites must not lose finite evaluability along the way.
-    Result<AlgebraExpr> rewritten = RewriteExpr(expr, db, opts);
+    StatsCatalog stats;
+    Result<AlgebraExpr> rewritten =
+        RewriteExpr(expr, PlannerContext(db, &stats, opts.truncation));
     ASSERT_TRUE(rewritten.ok());
     EXPECT_EQ(rewritten->arity(), expr.arity());
     if (expr.IsFinitelyEvaluable()) {
@@ -752,14 +762,32 @@ TEST(PlannerTest, EstimateRowsIsFiniteWithAndWithoutStats) {
       EstimateRows(AlgebraExpr::Relation("Pairs", 2), with_stats), 3.0);
 }
 
-TEST(EngineTest, CostPlannerAgreesWithHeuristicAndNaive) {
+TEST(PlannerTest, EstimateRowsCountsRelationsAndDomains) {
+  Database db = MakeDb();
+  StatsCatalog stats;
+  const CostPlannerContext ctx = PlannerContext(db, &stats);
+  EXPECT_EQ(EstimateRows(AlgebraExpr::Relation("R1", 1), ctx), 2.0);
+  EXPECT_EQ(EstimateRows(AlgebraExpr::SigmaL(2), ctx), 7.0);
+  EXPECT_EQ(EstimateRows(AlgebraExpr::SigmaStar(),
+                         PlannerContext(db, &stats, /*truncation=*/2)),
+            7.0);
+  AlgebraExpr prod = AlgebraExpr::Product(AlgebraExpr::Relation("R1", 1),
+                                          AlgebraExpr::Relation("R3", 1));
+  EXPECT_EQ(EstimateRows(prod, ctx), 4.0);
+  // Without statistics a relation's size is unknown, estimated at 0.
+  EXPECT_EQ(EstimateRows(AlgebraExpr::Relation("R1", 1),
+                         PlannerContext(db, /*stats=*/nullptr)),
+            0.0);
+}
+
+TEST(EngineTest, CostPlannerAgreesWithWrittenOrderAndNaive) {
   Alphabet sigma = Alphabet::Binary();
   FsaPool pool = testgen::MakeFsaPool(sigma);
   RngSource rand(20260807);
-  Engine cost;  // enable_cost_planner defaults on
-  EngineOptions heuristic_options;
-  heuristic_options.enable_cost_planner = false;
-  Engine heuristic(heuristic_options);
+  Engine cost;  // the DP planner orders products by default
+  EngineOptions written_order_options;
+  written_order_options.rewrites.reorder_products = false;
+  Engine written_order(written_order_options);
   EvalOptions opts;
   opts.truncation = 2;
   opts.max_tuples = 20000;
@@ -768,7 +796,7 @@ TEST(EngineTest, CostPlannerAgreesWithHeuristicAndNaive) {
   for (int trial = 0; trial < 100; ++trial) {
     Database db = testgen::RandomDatabase(rand, sigma);
     if (trial % 2 == 0) {
-      // Skew P so the DP order actually deviates from the heuristic one.
+      // Skew P so the DP order actually deviates from the written one.
       std::vector<Tuple> bulk;
       for (int i = 0; i < 40; ++i) {
         bulk.push_back(testgen::RandomTuple(rand, sigma, 2, 3));
@@ -778,7 +806,7 @@ TEST(EngineTest, CostPlannerAgreesWithHeuristicAndNaive) {
     AlgebraExpr expr = testgen::RandomAlgebraExpr(rand, pool, 4);
     Result<StringRelation> naive = EvalAlgebra(expr, db, opts);
     Result<StringRelation> costed = cost.Execute(expr, db, opts);
-    Result<StringRelation> plain = heuristic.Execute(expr, db, opts);
+    Result<StringRelation> plain = written_order.Execute(expr, db, opts);
     if (!naive.ok()) {
       EXPECT_FALSE(costed.ok()) << trial << ": " << expr.ToString();
       EXPECT_FALSE(plain.ok()) << trial << ": " << expr.ToString();
