@@ -2,9 +2,10 @@
 // input lengths.  Sweeps input length for the workhorse §2 formulae and
 // reports the measured complexity alongside configuration counts.
 //
-// E24 — the acceptance tiers (the compiled CSR kernel of fsa/kernel
-// and the determinised bytecode DFA of fsa/codegen, scalar and batch)
-// against the reference BFS on warm tuple batches.  `--json[=PATH]`
+// E24 — the acceptance tiers (the compiled CSR kernel of fsa/kernel,
+// tuple by tuple, and the determinised DFA of fsa/codegen, through its
+// 64-lane batch interpreter) against the reference BFS on warm tuple
+// batches.  `--json[=PATH]`
 // (default BENCH_accept.json) skips the google-benchmark sweeps and
 // instead writes machine-readable ns/tuple, tuples/s and speedup rows
 // for all three tiers; `--quick` shrinks the workloads for CI smoke
@@ -177,16 +178,19 @@ BENCHMARK(BM_AcceptManifoldKernel)
     ->Complexity();
 
 // DFA counterpart of the kernel sweep: subset-construct + minimise
-// once, then run the threaded bytecode per tuple.
+// once, then run each tuple as a one-tuple batch.
 void BM_AcceptEqualityDfa(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
   std::string w(static_cast<size_t>(n), 'a');
   DfaProgram program =
       OrDie(DfaProgram::Compile(EqualityFsa()), "equality dfa");
   DfaScratch scratch;
+  const std::vector<std::string> tuple = {w, w};
   for (auto _ : state) {
-    Result<AcceptStats> r = program.Accept({w, w}, &scratch);
-    if (!r.ok() || !r->accepted) state.SkipWithError("acceptance failed");
+    DfaBatchResult r = AcceptBatch(program, {&tuple}, &scratch);
+    if (!r.statuses[0].ok() || !r.accepted[0]) {
+      state.SkipWithError("acceptance failed");
+    }
   }
   state.SetComplexityN(n);
 }
@@ -210,7 +214,6 @@ struct JsonRow {
   // DFA tier: absent (dfa_compiled=false, zeros) when the machine is
   // outside the one-way move-deterministic class.
   bool dfa_compiled = false;
-  double dfa_ns_per_tuple = 0;        // scalar bytecode interpreter
   double dfa_batch_ns_per_tuple = 0;  // 64-lane batch interpreter
   double dfa_speedup_vs_kernel = 0;   // kernel ns / batch-DFA ns
 };
@@ -235,15 +238,17 @@ JsonRow MeasureWorkload(const std::string& name, const Fsa& fsa,
   for (const std::vector<std::string>& t : batch) tuples.push_back(&t);
 
   // Parity first: the kernel and the oracle must agree on every tuple.
-  KernelBatchResult warm = AcceptBatch(kernel, tuples, &scratch);
+  std::vector<bool> verdicts;
   for (size_t i = 0; i < batch.size(); ++i) {
-    if (!warm.statuses[i].ok()) {
+    Result<AcceptStats> warm = scratch.Accept(kernel, batch[i]);
+    if (!warm.ok()) {
       std::fprintf(stderr, "%s: tuple %zu failed: %s\n", name.c_str(), i,
-                   warm.statuses[i].ToString().c_str());
+                   warm.status().ToString().c_str());
       std::abort();
     }
+    verdicts.push_back(warm->accepted);
     Result<bool> oracle = Accepts(fsa, batch[i]);
-    if (!oracle.ok() || *oracle != (warm.accepted[i] != 0)) {
+    if (!oracle.ok() || *oracle != warm->accepted) {
       std::fprintf(stderr, "%s: kernel/oracle mismatch on tuple %zu\n",
                    name.c_str(), i);
       std::abort();
@@ -269,7 +274,9 @@ JsonRow MeasureWorkload(const std::string& name, const Fsa& fsa,
   });
   int64_t kernel_ns = TimeNs([&] {
     for (int r = 0; r < reps; ++r) {
-      benchmark::DoNotOptimize(AcceptBatch(kernel, tuples, &scratch));
+      for (const std::vector<std::string>& t : batch) {
+        benchmark::DoNotOptimize(scratch.Accept(kernel, t));
+      }
     }
   });
 
@@ -283,37 +290,27 @@ JsonRow MeasureWorkload(const std::string& name, const Fsa& fsa,
   row.kernel_ns_per_tuple = static_cast<double>(kernel_ns) / per;
   row.speedup = row.baseline_ns_per_tuple / row.kernel_ns_per_tuple;
 
-  // The DFA tier, where the machine admits it: verdict-check both
-  // interpreters against the oracle verdicts the kernel already
-  // matched, then time the scalar chain and the 64-lane batch.
+  // The DFA tier, where the machine admits it: verdict-check the batch
+  // against the oracle verdicts the kernel already matched, then time
+  // the 64-lane batch.
   Result<DfaProgram> dfa = DfaProgram::Compile(fsa);
   if (dfa.ok()) {
     DfaScratch dscratch;
     DfaBatchResult check = AcceptBatch(*dfa, tuples, &dscratch);
     for (size_t i = 0; i < batch.size(); ++i) {
-      Result<AcceptStats> scalar = dfa->Accept(batch[i], &dscratch);
-      if (!check.statuses[i].ok() || !scalar.ok() ||
-          (check.accepted[i] != 0) != (warm.accepted[i] != 0) ||
-          scalar->accepted != (warm.accepted[i] != 0)) {
+      if (!check.statuses[i].ok() ||
+          (check.accepted[i] != 0) != verdicts[i]) {
         std::fprintf(stderr, "%s: dfa/kernel mismatch on tuple %zu\n",
                      name.c_str(), i);
         std::abort();
       }
     }
-    int64_t dfa_scalar_ns = TimeNs([&] {
-      for (int r = 0; r < reps; ++r) {
-        for (const std::vector<std::string>& t : batch) {
-          benchmark::DoNotOptimize(dfa->Accept(t, &dscratch));
-        }
-      }
-    });
     int64_t dfa_batch_ns = TimeNs([&] {
       for (int r = 0; r < reps; ++r) {
         benchmark::DoNotOptimize(AcceptBatch(*dfa, tuples, &dscratch));
       }
     });
     row.dfa_compiled = true;
-    row.dfa_ns_per_tuple = static_cast<double>(dfa_scalar_ns) / per;
     row.dfa_batch_ns_per_tuple = static_cast<double>(dfa_batch_ns) / per;
     row.dfa_speedup_vs_kernel =
         row.kernel_ns_per_tuple / row.dfa_batch_ns_per_tuple;
@@ -445,9 +442,7 @@ int RunJsonMode(const std::string& path, bool quick) {
         << static_cast<double>(static_cast<int64_t>(r.speedup * 100)) / 100
         << ", \"dfa_compiled\": " << (r.dfa_compiled ? "true" : "false");
     if (r.dfa_compiled) {
-      out << ", \"dfa_ns_per_tuple\": "
-          << static_cast<int64_t>(r.dfa_ns_per_tuple)
-          << ", \"dfa_batch_ns_per_tuple\": "
+      out << ", \"dfa_batch_ns_per_tuple\": "
           << static_cast<int64_t>(r.dfa_batch_ns_per_tuple)
           << ", \"dfa_tuples_per_s\": "
           << static_cast<int64_t>(1e9 / r.dfa_batch_ns_per_tuple)
@@ -459,11 +454,10 @@ int RunJsonMode(const std::string& path, bool quick) {
     out << "}" << (i + 1 < rows.size() ? "," : "") << "\n";
     if (r.dfa_compiled) {
       std::printf("%-18s one_way=%d  baseline %8.0f ns/tuple  kernel %8.0f "
-                  "ns/tuple  dfa %6.0f/%6.0f ns/tuple (scalar/batch)  "
+                  "ns/tuple  dfa %6.0f ns/tuple (batch)  "
                   "speedup %.2fx  dfa-vs-kernel %.2fx\n",
                   r.name.c_str(), r.one_way ? 1 : 0, r.baseline_ns_per_tuple,
-                  r.kernel_ns_per_tuple, r.dfa_ns_per_tuple,
-                  r.dfa_batch_ns_per_tuple, r.speedup,
+                  r.kernel_ns_per_tuple, r.dfa_batch_ns_per_tuple, r.speedup,
                   r.dfa_speedup_vs_kernel);
     } else {
       std::printf("%-18s one_way=%d  baseline %8.0f ns/tuple  kernel %8.0f "

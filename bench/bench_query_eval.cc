@@ -17,7 +17,7 @@
 //
 // E24 (query side) — σ_A filtering of a materialised relation through
 // the engine's three acceptance tiers (reference BFS, CSR kernel, DFA
-// bytecode; EngineOptions::enable_kernel / enable_dfa), on a
+// batch interpreter; EngineOptions::enable_kernel / enable_dfa), on a
 // concatenation workload the DFA tier refuses (fallback-overhead
 // check) and an equality workload it serves.  `--json[=PATH]` (default
 // BENCH_query_eval.json) writes the machine-readable comparison;
@@ -243,7 +243,7 @@ AlgebraExpr FilterQuery(const Alphabet& alphabet) {
 
 // An arity-2 relation of (x, y) pairs, half equal — the DFA tier's
 // end-to-end showcase: the pair-equality scanner is one-way and
-// move-deterministic, so σ runs on the bytecode batch path instead of
+// move-deterministic, so σ runs on the DFA batch interpreter instead of
 // the CSR kernel.
 Database MakePairs(int tuples, int max_len, uint64_t seed) {
   Database db(Alphabet::Binary());

@@ -1,4 +1,4 @@
-// libFuzzer: DFA codegen tier (scalar + batch bytecode interpreters)
+// libFuzzer: DFA codegen tier (its batch interpreter, per tuple and per case)
 // vs the CSR kernel vs the Theorem 3.3 reference, including typed
 // refusals, forced-cap fallbacks and budget-exhaustion parity.
 #include "fuzz_common.h"

@@ -211,10 +211,10 @@ std::string WindowFormula::NodeToString(const Node& node) {
     case Kind::kNot:
       return "!(" + NodeToString(*node.left) + ")";
     case Kind::kAnd:
-      return "(" + NodeToString(*node.left) + " & " +
+      return std::string("(") + NodeToString(*node.left) + " & " +
              NodeToString(*node.right) + ")";
     case Kind::kOr:
-      return "(" + NodeToString(*node.left) + " | " +
+      return std::string("(") + NodeToString(*node.left) + " | " +
              NodeToString(*node.right) + ")";
   }
   return "?";

@@ -166,11 +166,12 @@ std::string Regex::ToString() const {
     case Kind::kChar:
       return std::string(1, ch());
     case Kind::kConcat:
-      return "(" + Left().ToString() + Right().ToString() + ")";
+      return std::string("(") + Left().ToString() + Right().ToString() + ")";
     case Kind::kUnion:
-      return "(" + Left().ToString() + "+" + Right().ToString() + ")";
+      return std::string("(") + Left().ToString() + "+" + Right().ToString() +
+             ")";
     case Kind::kStar:
-      return "(" + Left().ToString() + ")*";
+      return std::string("(") + Left().ToString() + ")*";
   }
   return "?";
 }

@@ -226,9 +226,11 @@ std::string CalcFormula::ToString() const {
       return out + ")";
     }
     case Kind::kAnd:
-      return "(" + Left().ToString() + " & " + Right().ToString() + ")";
+      return std::string("(") + Left().ToString() + " & " +
+             Right().ToString() + ")";
     case Kind::kOr:
-      return "(" + Left().ToString() + " | " + Right().ToString() + ")";
+      return std::string("(") + Left().ToString() + " | " +
+             Right().ToString() + ")";
     case Kind::kNot:
       return "!(" + Left().ToString() + ")";
     case Kind::kExists:

@@ -8,7 +8,11 @@
 
 namespace strdb {
 
-std::string ColumnVar(int i) { return "v" + std::to_string(i); }
+std::string ColumnVar(int i) {
+  std::string var = "v";
+  var += std::to_string(i);
+  return var;
+}
 
 // ---------------------------------------------------------------------------
 // Theorem 4.2: calculus → algebra
@@ -36,7 +40,9 @@ Result<AlgebraExpr> JoinByPartition(AlgebraExpr f,
 
   std::vector<std::string> names;
   names.reserve(static_cast<size_t>(a));
-  for (int i = 0; i < a; ++i) names.push_back("c" + std::to_string(i));
+  for (int i = 0; i < a; ++i) {
+    names.push_back(std::string("c") + std::to_string(i));
+  }
 
   // Within-block equality window formula for the sliding loop.
   WindowFormula eq = WindowFormula::True();
@@ -386,7 +392,8 @@ class AlgebraTranslator {
         std::vector<std::string> quantified;
         for (int i = 0; i < e.Left().arity(); ++i) {
           if (kept[static_cast<size_t>(i)]) continue;
-          std::string fresh = "q" + std::to_string(fresh_counter_++);
+          std::string fresh =
+              std::string("q") + std::to_string(fresh_counter_++);
           renaming[ColumnVar(i)] = fresh;
           quantified.push_back(fresh);
         }

@@ -90,7 +90,8 @@ std::string DistSignature(const std::vector<ColumnDist>& dists) {
         h = (h ^ q) * 1099511628211ull;
       }
     }
-    sig += "h" + std::to_string(h);
+    sig += "h";
+    sig += std::to_string(h);
   }
   return sig;
 }
@@ -184,8 +185,22 @@ double EstimateRows(const AlgebraExpr& expr, const CostPlannerContext& ctx) {
       rows = EstimateRows(expr.Left(), ctx);
       break;
     case Kind::kSelect: {
-      const double child = EstimateRows(expr.Left(), ctx);
       const std::string key = ArtifactCache::FsaKey(expr.fsa());
+      if (IsGenerateSelect(expr)) {
+        // The generator never enumerates Σ^{<=l}: it runs A once per
+        // combination of the other factors' tuples.
+        std::vector<AlgebraExpr> factors;
+        FlattenProduct(expr.Left(), &factors);
+        rows = 1;
+        for (const AlgebraExpr& f : factors) {
+          if (f.kind() != Kind::kSigmaStar) rows *= EstimateRows(f, ctx);
+        }
+        if (ctx.feedback != nullptr) {
+          rows *= ctx.feedback->Corrected(GenerateFanoutKey(key), 1.0);
+        }
+        break;
+      }
+      const double child = EstimateRows(expr.Left(), ctx);
       const double sel = EstimateSelectivity(
           expr.fsa(), key, EstimateColumnDists(expr.Left(), ctx), ctx);
       rows = child * sel;
@@ -196,12 +211,17 @@ double EstimateRows(const AlgebraExpr& expr, const CostPlannerContext& ctx) {
   return std::min(rows, kRowCap);
 }
 
+std::string GenerateFanoutKey(const std::string& fsa_key) {
+  return fsa_key + "\n|gen";
+}
+
 double EstimateSelectivity(const Fsa& fsa, const std::string& fsa_key,
                            const std::vector<ColumnDist>& dists,
                            const CostPlannerContext& ctx) {
   const std::string key =
       (fsa_key.empty() ? ArtifactCache::FsaKey(fsa) : fsa_key);
-  const std::string memo_key = key + DistSignature(dists);
+  std::string memo_key = key;
+  memo_key += DistSignature(dists);
   double model = 0.25;
   bool have_model = false;
   if (ctx.densities != nullptr &&

@@ -21,7 +21,7 @@ namespace strdb {
 struct CostModel {
   double bfs_ns_per_tuple = 8442;     // reference Theorem 3.3 BFS
   double kernel_ns_per_tuple = 3975;  // CSR acceptance kernel
-  double dfa_ns_per_tuple = 679;      // DFA bytecode tier
+  double dfa_ns_per_tuple = 679;      // DFA batch interpreter
   double tuple_build_ns = 400;        // product materialisation, per row
   double scan_ns = 120;               // per scanned tuple
   double generate_ns = 4000;          // per generated σ_A candidate
@@ -62,8 +62,16 @@ std::vector<ColumnDist> EstimateColumnDists(const AlgebraExpr& expr,
 
 // Statistics-backed cardinality estimate for db(E↓l).  Always finite
 // and non-negative.  Domains count Σ^{<=l} exactly; a relation with no
-// statistics and no paged heap is estimated at 0 rows.
+// statistics and no paged heap is estimated at 0 rows.  A generate-select
+// (IsGenerateSelect) is its non-Σ* factors' rows times the fan-out
+// feedback under GenerateFanoutKey, one answer per combination before
+// any feedback exists.
 double EstimateRows(const AlgebraExpr& expr, const CostPlannerContext& ctx);
+
+// The feedback key of a generate-select over the machine `fsa_key`: its
+// observed fan-out, kept apart from the selectivity a filter over the
+// same machine records under `fsa_key` itself.
+std::string GenerateFanoutKey(const std::string& fsa_key);
 
 // σ_A selectivity in [0, 1]: the DFA acceptance density under the
 // column model, blended with the adaptive feedback for `fsa_key` when

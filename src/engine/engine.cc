@@ -1,5 +1,6 @@
 #include "engine/engine.h"
 
+#include <algorithm>
 #include <chrono>
 #include <functional>
 #include <optional>
@@ -153,14 +154,14 @@ class Planner {
     node->fsa_key = ArtifactCache::FsaKey(*node->fsa);
     std::vector<AlgebraExpr> factors;
     FlattenProduct(e.Left(), &factors);
-    bool has_star = false;
-    for (const AlgebraExpr& f : factors) {
-      if (f.kind() == Kind::kSigmaStar) has_star = true;
-    }
-    if (!has_star || !node->fsa->FinalStatesHaveNoExits()) {
+    if (!IsGenerateSelect(e)) {
       // Plain filtering: evaluate the child (Σ* becomes Σ^l) and keep
       // the accepted tuples — same semantics as the naïve evaluator.
       node->op = Op::kFilterSelect;
+      const bool has_star =
+          std::any_of(factors.begin(), factors.end(), [](const AlgebraExpr& f) {
+            return f.kind() == Kind::kSigmaStar;
+          });
       if (!has_star && e.Left().kind() == Kind::kProduct && enable_dfa_) {
         // σ_A(L × R) whose DFA proves a column of L equal to a column
         // of R runs as a hash join; σ_A still checks every match.  A
@@ -392,18 +393,28 @@ class Executor {
     return std::make_shared<const AcceptKernel>(std::move(compiled).value());
   }
 
-  // The DFA-tier program for `node`'s automaton, or nullptr when the
-  // tier is disabled or refuses the machine — the caller then falls back
-  // to the kernel.  Planning may already have looked the artifact up.
-  Result<std::shared_ptr<const DfaProgram>> DfaFor(PlanNode* node) {
-    if (!engine_options_.enable_dfa) {
-      return std::shared_ptr<const DfaProgram>();
+  // σ_A's acceptance tier, resolved once per σ: the DFA program when
+  // the tier is on and admits the machine, else the kernel when it is
+  // on and compiles, else neither (the reference BFS).
+  struct Tier {
+    std::shared_ptr<const DfaProgram> dfa;
+    std::shared_ptr<const AcceptKernel> kernel;
+  };
+
+  Result<Tier> TierFor(PlanNode* node) {
+    Tier tier;
+    if (engine_options_.enable_dfa) {
+      // Planning may already have looked the artifact up.
+      if (node->dfa == nullptr) {
+        STRDB_ASSIGN_OR_RETURN(node->dfa,
+                               LookupDfa(node, cache_, options_.budget));
+      }
+      tier.dfa = node->dfa->program;
     }
-    if (node->dfa == nullptr) {
-      STRDB_ASSIGN_OR_RETURN(node->dfa,
-                             LookupDfa(node, cache_, options_.budget));
+    if (tier.dfa == nullptr) {
+      STRDB_ASSIGN_OR_RETURN(tier.kernel, KernelFor(node));
     }
-    return node->dfa->program;
+    return tier;
   }
 
   Result<StringRelation> FilterSelect(PlanNode* node) {
@@ -418,7 +429,10 @@ class Executor {
     std::vector<const Tuple*> tuples;
     tuples.reserve(static_cast<size_t>(child->size()));
     for (const Tuple& t : child->tuples()) tuples.push_back(&t);
-    return AcceptTuples(node, tuples);
+    STRDB_ASSIGN_OR_RETURN(Tier tier, TierFor(node));
+    StringRelation out(node->arity);
+    STRDB_RETURN_IF_ERROR(AcceptTuples(node, tier, tuples, &out));
+    return out;
   }
 
   // σ_A(L × R) as an equi-join: hash the smaller input on its key
@@ -488,26 +502,26 @@ class Executor {
     std::vector<const Tuple*> tuples;
     tuples.reserve(matches.size());
     for (const Tuple& t : matches) tuples.push_back(&t);
-    return AcceptTuples(node, tuples);
+    STRDB_ASSIGN_OR_RETURN(Tier tier, TierFor(node));
+    StringRelation out(node->arity);
+    STRDB_RETURN_IF_ERROR(AcceptTuples(node, tier, tuples, &out));
+    return out;
   }
 
-  // Runs σ_A over `tuples`, keeping the accepted ones.
-  Result<StringRelation> AcceptTuples(PlanNode* node,
-                                      const std::vector<const Tuple*>& tuples) {
-    int64_t n = static_cast<int64_t>(tuples.size());
-
+  // Runs σ_A over `tuples` through `tier` and appends the accepted ones
+  // to `out`, in input order.  The one σ driver: filters, hash joins and
+  // streamed scans all decide acceptance here.  A batch of at least
+  // parallel_threshold tuples is split across the pool; the DFA tier
+  // runs each chunk as one AcceptBatch, the kernel and the BFS decide
+  // tuple by tuple.
+  Status AcceptTuples(PlanNode* node, const Tier& tier,
+                      const std::vector<const Tuple*>& tuples,
+                      StringRelation* out) {
+    const int64_t n = static_cast<int64_t>(tuples.size());
     std::vector<char> accepted(tuples.size(), 0);
     std::vector<int64_t> steps(tuples.size(), 0);
     std::vector<Status> errors(tuples.size());
     const Fsa& fsa = *node->fsa;
-    // Fallback ladder: DFA program → CSR kernel → reference BFS.  The
-    // kernel is only compiled when the DFA tier bowed out.
-    STRDB_ASSIGN_OR_RETURN(std::shared_ptr<const DfaProgram> dfa,
-                           DfaFor(node));
-    std::shared_ptr<const AcceptKernel> kernel;
-    if (dfa == nullptr) {
-      STRDB_ASSIGN_OR_RETURN(kernel, KernelFor(node));
-    }
     AcceptOptions accept_opts;
     accept_opts.budget = options_.budget;  // shared account; charging is atomic
     auto check_range = [&](int64_t begin, int64_t end) {
@@ -515,20 +529,16 @@ class Executor {
       // queries: the warm path allocates nothing per tuple.
       thread_local AcceptScratch scratch;
       thread_local DfaScratch dfa_scratch;
-      if (dfa != nullptr) {
+      if (tier.dfa != nullptr) {
         if (begin >= end) return;
-        // The whole chunk advances through the row table lanes-at-a-time.
         std::vector<const Tuple*> slice(
             tuples.begin() + static_cast<ptrdiff_t>(begin),
             tuples.begin() + static_cast<ptrdiff_t>(end));
-        DfaBatchResult res = AcceptBatch(*dfa, slice, &dfa_scratch,
-                                         accept_opts);
+        DfaBatchResult res =
+            AcceptBatch(*tier.dfa, slice, &dfa_scratch, accept_opts);
         for (size_t j = 0; j < slice.size(); ++j) {
-          size_t i = static_cast<size_t>(begin) + j;
-          if (!res.statuses[j].ok()) {
-            errors[i] = res.statuses[j];
-            continue;
-          }
+          const size_t i = static_cast<size_t>(begin) + j;
+          errors[i] = std::move(res.statuses[j]);
           accepted[i] = res.accepted[j];
         }
         // The batch reports aggregate chain steps; park them on the
@@ -537,12 +547,11 @@ class Executor {
         return;
       }
       for (int64_t i = begin; i < end; ++i) {
+        const Tuple& t = *tuples[static_cast<size_t>(i)];
         Result<AcceptStats> res =
-            kernel != nullptr
-                ? scratch.Accept(*kernel, *tuples[static_cast<size_t>(i)],
-                                 accept_opts)
-                : AcceptsWithStats(fsa, *tuples[static_cast<size_t>(i)],
-                                   accept_opts);
+            tier.kernel != nullptr
+                ? scratch.Accept(*tier.kernel, t, accept_opts)
+                : AcceptsWithStats(fsa, t, accept_opts);
         if (!res.ok()) {
           errors[static_cast<size_t>(i)] = res.status();
           continue;
@@ -551,43 +560,33 @@ class Executor {
         steps[static_cast<size_t>(i)] = res->configurations_visited;
       }
     };
-    bool parallel = pool_->num_threads() > 1 &&
-                    n >= engine_options_.parallel_threshold;
-    if (parallel) {
+    if (pool_->num_threads() > 1 && n >= engine_options_.parallel_threshold) {
       pool_->ParallelFor(n, check_range);
     } else {
       check_range(0, n);
     }
     // Merge in input order: the result (and the first error surfaced) is
     // the same no matter how the chunks were scheduled.
-    StringRelation out(node->arity);
     for (size_t i = 0; i < tuples.size(); ++i) {
       STRDB_RETURN_IF_ERROR(errors[i]);
       node->stats.fsa_steps += steps[i];
       if (accepted[i]) {
-        STRDB_RETURN_IF_ERROR(out.Insert(*tuples[i]));
+        STRDB_RETURN_IF_ERROR(out->Insert(*tuples[i]));
       }
     }
-    return out;
+    return Status::OK();
   }
 
   // σ_A over a spilled relation: pump the heap's decoded batches through
-  // acceptance and keep only survivors, so the input relation is never
+  // AcceptTuples and keep only survivors, so the input relation is never
   // resident — peak memory is the buffer-pool cap plus one batch plus the
   // (filtered) output.  Same verdicts as the materialise-then-filter
   // path; only where budget errors surface can differ.
   Result<StringRelation> StreamFilterSelect(PlanNode* node, PlanNode* child) {
     Clock::time_point child_start = Clock::now();
-    const Fsa& fsa = *node->fsa;
-    STRDB_ASSIGN_OR_RETURN(std::shared_ptr<const DfaProgram> dfa,
-                           DfaFor(node));
-    std::shared_ptr<const AcceptKernel> kernel;
-    if (dfa == nullptr) {
-      STRDB_ASSIGN_OR_RETURN(kernel, KernelFor(node));
-    }
-    AcceptOptions accept_opts;
-    accept_opts.budget = options_.budget;
+    STRDB_ASSIGN_OR_RETURN(Tier tier, TierFor(node));
     StringRelation out(node->arity);
+    std::vector<const Tuple*> tuples;
     STRDB_RETURN_IF_ERROR(child->source->Scan(
         [&](const std::vector<Tuple>& batch) -> Status {
           int64_t n = static_cast<int64_t>(batch.size());
@@ -598,74 +597,9 @@ class Executor {
             // would have been, so the flag changes memory, not cost.
             STRDB_RETURN_IF_ERROR(options_.budget->ChargeRows(n));
           }
-          bool parallel = pool_->num_threads() > 1 &&
-                          n >= engine_options_.parallel_threshold;
-          if (dfa != nullptr && !parallel) {
-            // The streamed batch drives the DFA tier's lane interpreter
-            // directly: one page's worth of tuples per AcceptBatch call.
-            std::vector<const Tuple*> ptrs;
-            ptrs.reserve(batch.size());
-            for (const Tuple& t : batch) ptrs.push_back(&t);
-            thread_local DfaScratch scratch;
-            DfaBatchResult res = AcceptBatch(*dfa, ptrs, &scratch,
-                                             accept_opts);
-            node->stats.fsa_steps += res.configurations_visited;
-            for (size_t i = 0; i < batch.size(); ++i) {
-              STRDB_RETURN_IF_ERROR(res.statuses[i]);
-              if (res.accepted[i]) {
-                STRDB_RETURN_IF_ERROR(out.Insert(batch[i]));
-              }
-            }
-          } else if (kernel != nullptr && !parallel) {
-            std::vector<const Tuple*> ptrs;
-            ptrs.reserve(batch.size());
-            for (const Tuple& t : batch) ptrs.push_back(&t);
-            thread_local AcceptScratch scratch;
-            KernelBatchResult res =
-                AcceptBatch(*kernel, ptrs, &scratch, accept_opts);
-            node->stats.fsa_steps += res.configurations_visited;
-            for (size_t i = 0; i < batch.size(); ++i) {
-              STRDB_RETURN_IF_ERROR(res.statuses[i]);
-              if (res.accepted[i]) {
-                STRDB_RETURN_IF_ERROR(out.Insert(batch[i]));
-              }
-            }
-          } else {
-            std::vector<char> accepted(batch.size(), 0);
-            std::vector<int64_t> steps(batch.size(), 0);
-            std::vector<Status> errors(batch.size());
-            auto check_range = [&](int64_t begin, int64_t end) {
-              thread_local AcceptScratch scratch;
-              thread_local DfaScratch dfa_scratch;
-              for (int64_t i = begin; i < end; ++i) {
-                const Tuple& t = batch[static_cast<size_t>(i)];
-                Result<AcceptStats> res =
-                    dfa != nullptr
-                        ? dfa->Accept(t, &dfa_scratch, accept_opts)
-                    : kernel != nullptr
-                        ? scratch.Accept(*kernel, t, accept_opts)
-                        : AcceptsWithStats(fsa, t, accept_opts);
-                if (!res.ok()) {
-                  errors[static_cast<size_t>(i)] = res.status();
-                  continue;
-                }
-                accepted[static_cast<size_t>(i)] = res->accepted ? 1 : 0;
-                steps[static_cast<size_t>(i)] = res->configurations_visited;
-              }
-            };
-            if (parallel) {
-              pool_->ParallelFor(n, check_range);
-            } else {
-              check_range(0, n);
-            }
-            for (size_t i = 0; i < batch.size(); ++i) {
-              STRDB_RETURN_IF_ERROR(errors[i]);
-              node->stats.fsa_steps += steps[i];
-              if (accepted[i]) {
-                STRDB_RETURN_IF_ERROR(out.Insert(batch[i]));
-              }
-            }
-          }
+          tuples.clear();
+          for (const Tuple& t : batch) tuples.push_back(&t);
+          STRDB_RETURN_IF_ERROR(AcceptTuples(node, tier, tuples, &out));
           if (out.size() > options_.max_tuples) {
             return Status::ResourceExhausted("selection exceeds " +
                                              std::to_string(options_.max_tuples) +
@@ -800,10 +734,10 @@ void SumStats(const PlanNode& node, std::set<const PlanNode*>* seen,
   for (const auto& child : node.children) SumStats(*child, seen, stats);
 }
 
-// Feeds each σ_A filter's observed selectivity back to the engine's
-// correction table — the adaptive loop that shrinks systematic model
-// error on repeated machines.  Nodes that never saw input carry no
-// signal and are skipped.
+// Feeds each σ_A operator's observed selectivity (a generate-select's
+// fan-out) back to the engine's correction table — the adaptive loop
+// that shrinks systematic model error on repeated machines.  Nodes that
+// never saw input carry no signal and are skipped.
 void RecordSelectivities(const PlanNode& node,
                          std::set<const PlanNode*>* seen,
                          SelectivityFeedback* feedback) {
@@ -821,6 +755,16 @@ void RecordSelectivities(const PlanNode& node,
     if (product > 0) {
       feedback->Record(node.fsa_key,
                        static_cast<double>(node.stats.tuples_out) / product);
+    }
+  } else if (node.op == Op::kGenerateSelect && node.stats.tuples_in > 0) {
+    // Answers per combination of the non-Σ* factors' tuples.
+    double combos = 1;
+    for (const auto& child : node.children) {
+      combos *= static_cast<double>(child->stats.tuples_out);
+    }
+    if (combos > 0) {
+      feedback->Record(GenerateFanoutKey(node.fsa_key),
+                       static_cast<double>(node.stats.tuples_out) / combos);
     }
   }
   for (const auto& child : node.children) {

@@ -33,8 +33,8 @@ struct EngineOptions {
   bool enable_kernel = true;
   // Route σ_A filters through the DFA codegen tier (fsa/dfa +
   // fsa/codegen) when the automaton is one-way and move-deterministic:
-  // subset-constructed, minimised and lowered to threaded bytecode with
-  // a batched execution path.  Machines outside the class — or past the
+  // subset-constructed, minimised and run by the 64-lane batch
+  // interpreter.  Machines outside the class — or past the
   // subset-construction caps — silently fall back to the CSR kernel
   // (and the kernel to the reference BFS), so the fallback ladder is
   // DFA → kernel → BFS and answers are identical at every rung.

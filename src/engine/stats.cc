@@ -37,7 +37,7 @@ void StatsCatalog::Clear() {
 void SelectivityFeedback::Record(const std::string& fsa_key,
                                  double observed) {
   if (!(observed >= 0)) return;  // rejects NaN too
-  const double clamped = std::clamp(observed, 1e-6, 1.0);
+  const double clamped = std::max(observed, 1e-6);
   std::lock_guard<std::mutex> lock(mu_);
   auto it = ewma_.find(fsa_key);
   if (it == ewma_.end()) {

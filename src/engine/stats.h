@@ -43,10 +43,12 @@ class StatsCatalog {
 };
 
 // Adaptive correction factors: after every execution the engine records
-// each σ_A operator's observed selectivity (rows out / rows in) against
-// the automaton's structural key, and the planner blends the EWMA into
-// its model estimate — systematic model error decays within a few
-// queries of the same machine.  Thread safe.
+// each σ_A operator's observed ratio against the automaton's structural
+// key — a filter's selectivity (rows out / rows in, at most 1), or a
+// generator's fan-out (rows out per input combination, under its own
+// key, may exceed 1) — and the planner blends the EWMA into its model
+// estimate, so systematic model error decays within a few queries of
+// the same machine.  Thread safe.
 class SelectivityFeedback {
  public:
   static constexpr double kAlpha = 0.3;   // EWMA step

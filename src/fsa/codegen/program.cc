@@ -1,25 +1,15 @@
 #include "fsa/codegen/program.h"
 
-#include <algorithm>
 #include <cstring>
 
 #include "core/metrics.h"
-
-#if defined(__AVX2__)
-#include <immintrin.h>
-#endif
 
 namespace strdb {
 
 namespace {
 
-// Lanes per dispatch round of the batch path.  64 keeps the SoA arrays
-// within one page and gives the AVX2 path eight full 8-lane rounds.
+// Tuples advanced per dispatch round.
 constexpr int kLanes = 64;
-
-// Rank-arena offsets are int32 so the batch path can gather with 32-bit
-// indices; tuples past this many encoded symbols take the scalar path.
-constexpr int64_t kMaxArenaRanks = int64_t{1} << 30;
 
 inline Status SpaceExhausted() {
   return Status::ResourceExhausted(
@@ -46,135 +36,29 @@ struct DfaMetrics {
 
 }  // namespace
 
-// Friend of DfaProgram/DfaScratch: hosts the interpreter loops so the
+// Friend of DfaProgram/DfaScratch: hosts the interpreter loop so the
 // hot code can touch the packed fields directly.
 struct DfaBatchRunner {
-  // Advances one chain until it halts or `step_cap` steps elapse.
-  // Returns steps taken; the caller distinguishes "halted" from
-  // "paused for budget accounting" by op_[*state_io].
-  template <int KT>
-  static int64_t RunChain(const DfaProgram& p, const int32_t* ranks,
-                          const int32_t* roff, int32_t* state_io,
-                          int32_t* pos, int64_t step_cap) {
-    const int k = KT > 0 ? KT : p.k_;
-    const uint32_t* rows = p.rows_.data();
-    const uint8_t* ops = p.op_.data();
-    const int32_t* pow = p.pow_.data();
-    const int32_t num_keys = p.num_keys_;
-    int32_t state = *state_io;
-    int64_t steps = 0;
-#if defined(__GNUC__)
-    // Threaded dispatch: the state's opcode indexes a label table, so
-    // the loop is key fold → row load → mask update → indirect jump.
-    static const void* const kJump[2] = {&&op_row, &&op_halt};
-    goto* kJump[ops[state]];
-  op_row: {
-    if (steps >= step_cap) goto op_halt;
-    int32_t key = 0;
-    for (int i = 0; i < k; ++i) {
-      key += ranks[roff[i] + pos[i]] * pow[i];
-    }
-    const uint32_t e = rows[static_cast<size_t>(state) *
-                                static_cast<size_t>(num_keys) +
-                            static_cast<size_t>(key)];
-    const uint32_t m = e >> 24;
-    state = static_cast<int32_t>(e & 0xFFFFFFu);
-    for (int i = 0; i < k; ++i) {
-      pos[i] += static_cast<int32_t>((m >> i) & 1u);
-    }
-    ++steps;
-    goto* kJump[ops[state]];
-  }
-  op_halt:;
-#else
-    while (ops[state] == 0 && steps < step_cap) {
-      int32_t key = 0;
-      for (int i = 0; i < k; ++i) {
-        key += ranks[roff[i] + pos[i]] * pow[i];
-      }
-      const uint32_t e = rows[static_cast<size_t>(state) *
-                                  static_cast<size_t>(num_keys) +
-                              static_cast<size_t>(key)];
-      const uint32_t m = e >> 24;
-      state = static_cast<int32_t>(e & 0xFFFFFFu);
-      for (int i = 0; i < k; ++i) {
-        pos[i] += static_cast<int32_t>((m >> i) & 1u);
-      }
-      ++steps;
-    }
-#endif
-    *state_io = state;
-    return steps;
-  }
-
-  static int64_t RunChainK(const DfaProgram& p, const int32_t* ranks,
-                           const int32_t* roff, int32_t* state_io,
-                           int32_t* pos, int64_t step_cap) {
-    switch (p.k_) {
-      case 1:
-        return RunChain<1>(p, ranks, roff, state_io, pos, step_cap);
-      case 2:
-        return RunChain<2>(p, ranks, roff, state_io, pos, step_cap);
-      case 3:
-        return RunChain<3>(p, ranks, roff, state_io, pos, step_cap);
-      default:
-        return RunChain<0>(p, ranks, roff, state_io, pos, step_cap);
-    }
-  }
-
   // One dispatch round over `active` lanes: gather each lane's read key
   // from its rank rows, gather the (state, key) row, apply the packed
   // move mask to every head.  Lanes already in a halt state execute
   // their absorbing self-loop harmlessly; the caller retires them
   // between rounds.
   static void Round(const DfaProgram& p, const int32_t* ranks,
-                    int32_t* state, int32_t* pos, const int32_t* base,
+                    int32_t* state, int32_t* pos, const size_t* base,
                     int active) {
     const int k = p.k_;
     const uint32_t* rows = p.rows_.data();
     const int32_t* pow = p.pow_.data();
     const int32_t num_keys = p.num_keys_;
-    int l = 0;
-#if defined(__AVX2__)
-    for (; l + 8 <= active; l += 8) {
-      __m256i key = _mm256_setzero_si256();
-      for (int i = 0; i < k; ++i) {
-        const __m256i idx = _mm256_add_epi32(
-            _mm256_loadu_si256(
-                reinterpret_cast<const __m256i*>(base + i * kLanes + l)),
-            _mm256_loadu_si256(
-                reinterpret_cast<const __m256i*>(pos + i * kLanes + l)));
-        const __m256i r = _mm256_i32gather_epi32(ranks, idx, 4);
-        key = _mm256_add_epi32(
-            key, _mm256_mullo_epi32(r, _mm256_set1_epi32(pow[i])));
-      }
-      __m256i st = _mm256_loadu_si256(
-          reinterpret_cast<const __m256i*>(state + l));
-      const __m256i ridx = _mm256_add_epi32(
-          _mm256_mullo_epi32(st, _mm256_set1_epi32(num_keys)), key);
-      const __m256i e = _mm256_i32gather_epi32(
-          reinterpret_cast<const int*>(rows), ridx, 4);
-      st = _mm256_and_si256(e, _mm256_set1_epi32(0xFFFFFF));
-      _mm256_storeu_si256(reinterpret_cast<__m256i*>(state + l), st);
-      const __m256i m = _mm256_srli_epi32(e, 24);
-      for (int i = 0; i < k; ++i) {
-        const __m256i bit =
-            _mm256_and_si256(_mm256_srli_epi32(m, i), _mm256_set1_epi32(1));
-        __m256i* pp = reinterpret_cast<__m256i*>(pos + i * kLanes + l);
-        _mm256_storeu_si256(
-            pp, _mm256_add_epi32(
-                    _mm256_loadu_si256(reinterpret_cast<const __m256i*>(
-                        pos + i * kLanes + l)),
-                    bit));
-      }
-    }
-#endif
-    // Portable lane loop (and the AVX2 scalar tail): contiguous SoA
-    // arrays, no cross-lane dependencies, so the compiler may vectorise.
-    for (; l < active; ++l) {
+    // Contiguous SoA arrays with no cross-lane dependencies, so the
+    // compiler may vectorise.
+    for (int l = 0; l < active; ++l) {
       int32_t key = 0;
       for (int i = 0; i < k; ++i) {
-        key += ranks[base[i * kLanes + l] + pos[i * kLanes + l]] * pow[i];
+        key += ranks[base[i * kLanes + l] +
+                     static_cast<size_t>(pos[i * kLanes + l])] *
+               pow[i];
       }
       const uint32_t e = rows[static_cast<size_t>(state[l]) *
                                   static_cast<size_t>(num_keys) +
@@ -205,15 +89,9 @@ Result<DfaProgram> DfaProgram::Compile(const Fsa& fsa,
 
 Result<DfaProgram> DfaProgram::Lower(Dfa dfa) {
   const DfaMetrics& metrics = DfaMetrics::Get();
-  // The batch path indexes the row table with 32-bit lane arithmetic.
-  if (static_cast<int64_t>(dfa.rows.size()) > (int64_t{1} << 30)) {
-    metrics.compile_failures->Increment();
-    return Status::ResourceExhausted("DFA row table exceeds the byte cap");
-  }
   DfaProgram p;
   p.alphabet_ = dfa.alphabet;
   p.k_ = dfa.num_tapes;
-  p.radix_ = dfa.radix;
   p.num_keys_ = dfa.num_keys;
   p.pow_ = std::move(dfa.pow);
   std::memcpy(p.char_rank_, dfa.char_rank, sizeof(p.char_rank_));
@@ -227,7 +105,7 @@ Result<DfaProgram> DfaProgram::Lower(Dfa dfa) {
   p.op_.assign(static_cast<size_t>(p.num_states_), 0);
   p.op_[static_cast<size_t>(p.accept_)] = 1;
   p.op_[static_cast<size_t>(p.dead_)] = 1;
-  // Termination invariant the interpreters rely on: a row that does not
+  // Termination invariant the interpreter relies on: a row that does not
   // advance any head must jump to a halt state, so every chain ends
   // within Σ(|w_i|+1) + 1 steps.
   for (int32_t s = 0; s < p.num_states_; ++s) {
@@ -275,90 +153,6 @@ int64_t DfaProgram::MemoryCost() const {
          static_cast<int64_t>(pow_.size()) * 4;
 }
 
-Status DfaScratch::Prepare(const DfaProgram& program,
-                           const std::vector<std::string>& strings) {
-  const int k = program.k_;
-  if (static_cast<int>(strings.size()) != k) {
-    return Status::InvalidArgument("input arity differs from tape count");
-  }
-  const int sigma = program.alphabet_.size();
-  rank_off_.assign(static_cast<size_t>(k) + 1, 0);
-  size_t total_ranks = 0;
-  for (int i = 0; i < k; ++i) {
-    total_ranks += strings[static_cast<size_t>(i)].size() + 2;
-  }
-  ranks_.resize(total_ranks);
-  int32_t off = 0;
-  for (int i = 0; i < k; ++i) {
-    const std::string& w = strings[static_cast<size_t>(i)];
-    rank_off_[static_cast<size_t>(i)] = off;
-    int32_t* row = ranks_.data() + off;
-    row[0] = sigma;  // ⊢
-    for (size_t j = 0; j < w.size(); ++j) {
-      const int16_t rank =
-          program.char_rank_[static_cast<unsigned char>(w[j])];
-      if (rank < 0) {
-        return Status::InvalidArgument(
-            std::string("string contains character '") + w[j] +
-            "' outside the alphabet");
-      }
-      row[j + 1] = rank;
-    }
-    row[w.size() + 1] = sigma + 1;  // ⊣
-    off += static_cast<int32_t>(w.size()) + 2;
-  }
-  rank_off_[static_cast<size_t>(k)] = off;
-  // The chain never materialises the configuration space, but the other
-  // tiers refuse tuples whose space overflows int64 — keep the codes in
-  // parity so the differential sweeps stay three-way comparable.
-  int64_t space = 1;
-  for (int i = 0; i < k; ++i) {
-    const int64_t radix =
-        static_cast<int64_t>(strings[static_cast<size_t>(i)].size()) + 2;
-    if (__builtin_mul_overflow(space, radix, &space)) {
-      return SpaceExhausted();
-    }
-  }
-  if (__builtin_mul_overflow(space,
-                             static_cast<int64_t>(program.source_states_),
-                             &space)) {
-    return SpaceExhausted();
-  }
-  return Status::OK();
-}
-
-Result<AcceptStats> DfaProgram::Accept(const std::vector<std::string>& strings,
-                                       DfaScratch* scratch,
-                                       const AcceptOptions& options) const {
-  STRDB_RETURN_IF_ERROR(scratch->Prepare(*this, strings));
-  int32_t pos[8] = {0, 0, 0, 0, 0, 0, 0, 0};
-  int32_t state = start_;
-  int64_t total_steps = 0;
-  const int32_t* ranks = scratch->ranks_.data();
-  const int32_t* roff = scratch->rank_off_.data();
-  // Budgeted runs pause every chunk to charge actual steps, like the
-  // kernel charges actual configurations; unbudgeted runs take one
-  // uninterrupted pass.
-  const int64_t chunk = options.budget ? 4096 : INT64_MAX;
-  for (;;) {
-    const int64_t steps =
-        DfaBatchRunner::RunChainK(*this, ranks, roff, &state, pos, chunk);
-    total_steps += steps;
-    if (options.budget != nullptr && steps > 0) {
-      STRDB_RETURN_IF_ERROR(options.budget->ChargeSteps(steps));
-    }
-    if (op_[static_cast<size_t>(state)] != 0) break;
-    if (steps == 0) {
-      return Status::Internal("DFA chain paused without running");
-    }
-  }
-  AcceptStats stats;
-  stats.accepted = state == accept_;
-  stats.configurations_visited = total_steps;
-  stats.transitions_tried = total_steps;
-  return stats;
-}
-
 DfaBatchResult DfaBatchRunner::RunBatch(
     const DfaProgram& p,
     const std::vector<const std::vector<std::string>*>& tuples,
@@ -370,12 +164,10 @@ DfaBatchResult DfaBatchRunner::RunBatch(
   result.accepted.assign(n, 0);
 
   // Encode every tuple into one shared rank arena up front; a tuple that
-  // fails validation is marked and never admitted to a lane.  Tuples
-  // past the 32-bit arena bound are deferred to the scalar path.
-  std::vector<int32_t>& arena = scratch->ranks_;
+  // fails validation is marked and never admitted to a lane.
+  std::vector<int32_t>& arena = scratch->arena_;
   arena.clear();
   scratch->tuple_roff_.assign(n * static_cast<size_t>(k), 0);
-  std::vector<size_t> deferred;
   const int sigma = p.alphabet_.size();
   for (size_t t = 0; t < n; ++t) {
     const std::vector<std::string>& strings = *tuples[t];
@@ -386,11 +178,9 @@ DfaBatchResult DfaBatchRunner::RunBatch(
     }
     int64_t space = 1;
     bool overflow = false;
-    size_t need = 0;
     for (int i = 0; i < k; ++i) {
       const int64_t radix =
           static_cast<int64_t>(strings[static_cast<size_t>(i)].size()) + 2;
-      need += static_cast<size_t>(radix);
       if (__builtin_mul_overflow(space, radix, &space)) overflow = true;
     }
     if (overflow ||
@@ -400,17 +190,12 @@ DfaBatchResult DfaBatchRunner::RunBatch(
       result.statuses[t] = SpaceExhausted();
       continue;
     }
-    if (static_cast<int64_t>(arena.size() + need) > kMaxArenaRanks) {
-      deferred.push_back(t);
-      continue;
-    }
     const size_t mark = arena.size();
     bool bad_char = false;
     for (int i = 0; i < k && !bad_char; ++i) {
       const std::string& w = strings[static_cast<size_t>(i)];
       scratch->tuple_roff_[t * static_cast<size_t>(k) +
-                           static_cast<size_t>(i)] =
-          static_cast<int32_t>(arena.size());
+                           static_cast<size_t>(i)] = arena.size();
       arena.push_back(sigma);  // ⊢
       for (size_t j = 0; j < w.size(); ++j) {
         const int16_t rank = p.char_rank_[static_cast<unsigned char>(w[j])];
@@ -435,23 +220,18 @@ DfaBatchResult DfaBatchRunner::RunBatch(
   int32_t* state = scratch->lane_state_.data();
   int32_t* tuple_of = scratch->lane_tuple_.data();
   int32_t* pos = scratch->lane_pos_.data();
-  int32_t* base = scratch->lane_base_.data();
+  size_t* base = scratch->lane_base_.data();
   const int32_t* ranks = arena.data();
 
   size_t cursor = 0;
   Status budget_failure;
   // Pulls the next runnable tuple into `lane`.  A start state that is
   // already absorbing (empty or universal-complement machines minimise
-  // to start == dead) is decided without occupying a lane, matching the
-  // scalar path's zero-step verdict.
+  // to start == dead) is decided in zero steps without occupying a lane.
   auto admit = [&](int lane) -> bool {
     while (cursor < n) {
       const size_t t = cursor++;
       if (!result.statuses[t].ok()) continue;
-      if (!deferred.empty() &&
-          std::find(deferred.begin(), deferred.end(), t) != deferred.end()) {
-        continue;
-      }
       if (p.op_[static_cast<size_t>(p.start_)] != 0) {
         result.accepted[t] = p.start_ == p.accept_;
         continue;
@@ -474,7 +254,6 @@ DfaBatchResult DfaBatchRunner::RunBatch(
   while (active > 0) {
     Round(p, ranks, state, pos, base, active);
     result.configurations_visited += active;
-    result.transitions_tried += active;
     if (options.budget != nullptr) {
       budget_failure = options.budget->ChargeSteps(active);
       if (!budget_failure.ok()) break;
@@ -508,23 +287,6 @@ DfaBatchResult DfaBatchRunner::RunBatch(
       const size_t t = cursor++;
       if (result.statuses[t].ok()) result.statuses[t] = budget_failure;
     }
-    for (size_t t : deferred) {
-      if (result.statuses[t].ok()) result.statuses[t] = budget_failure;
-    }
-    deferred.clear();
-  }
-
-  // Oversized tuples run through the scalar interpreter, which re-uses
-  // (and overwrites) the arena the lanes are done with.
-  for (size_t t : deferred) {
-    Result<AcceptStats> one = p.Accept(*tuples[t], scratch, options);
-    if (!one.ok()) {
-      result.statuses[t] = one.status();
-      continue;
-    }
-    result.accepted[t] = one->accepted ? 1 : 0;
-    result.configurations_visited += one->configurations_visited;
-    result.transitions_tried += one->transitions_tried;
   }
   return result;
 }

@@ -16,25 +16,15 @@
 
 namespace strdb {
 
-class DfaScratch;
-
 // The compiled form of a determinised one-way product automaton
-// (fsa/dfa): the DFA's dense rows lowered to a threaded-code program the
-// acceptance loops execute instead of interpreting transitions.
-//
-//   * bytecode  — one instruction per DFA state: OP_ROW (advance through
-//     the state's dense row over the read-key alphabet) or OP_HALT (the
-//     absorbing accept/dead states).  The scalar interpreter dispatches
-//     with computed gotos on GCC/Clang (a switch elsewhere), so each
-//     step is a key fold, one row load, a move-mask position update and
-//     an indirect jump — no per-transition matching at all.
-//   * batch     — AcceptBatch advances up to 64 tuples per dispatch
-//     round against the same row table, structure-of-arrays: per round
-//     it gathers each lane's read key from per-tape rank rows, gathers
-//     the (state, key) row, and applies the packed move mask to every
-//     head.  Finished lanes retire and refill from the pending tuples;
-//     an AVX2 build runs the round 8 lanes per instruction with
-//     hardware gathers, with a scalar tail for the remainder.
+// (fsa/dfa): the DFA's dense rows plus a per-state halt flag, run by
+// one interpreter, AcceptBatch.  Each dispatch round advances up to 64
+// tuples ("lanes") at once, structure-of-arrays: per lane it folds the
+// read key from the tapes' rank rows, loads the (state, key) row and
+// applies the packed move mask to every head.  No per-transition
+// matching happens at all.  Finished lanes retire and refill from the
+// pending tuples.  The lane loop is portable C++; no build enables
+// vector intrinsics.
 //
 // Error contract matches the kernel and the reference BFS:
 // kInvalidArgument on arity/alphabet mismatch, kResourceExhausted when
@@ -43,8 +33,8 @@ class DfaScratch;
 // keeps differential sweeps three-way comparable).  Step statistics
 // count chain steps, which differ from BFS statistics by design.
 //
-// Immutable after Compile; safe to share across threads.  Per-tuple
-// mutable state lives in a caller-owned DfaScratch (one per thread).
+// Immutable after Compile; safe to share across threads.  Mutable run
+// state lives in a caller-owned DfaScratch (one per thread).
 class DfaProgram {
  public:
   // Determinise + minimise + lower.  Refusals are typed (see BuildDfa):
@@ -64,20 +54,13 @@ class DfaProgram {
   // Estimated resident bytes, for ArtifactCache accounting.
   int64_t MemoryCost() const;
 
-  // Decides acceptance of one tuple via the scalar threaded interpreter.
-  Result<AcceptStats> Accept(const std::vector<std::string>& strings,
-                             DfaScratch* scratch,
-                             const AcceptOptions& options = {}) const;
-
  private:
   DfaProgram() : alphabet_(Alphabet::Binary()) {}
 
-  friend class DfaScratch;
   friend struct DfaBatchRunner;
 
   Alphabet alphabet_;
   int k_ = 0;
-  int radix_ = 0;
   int32_t num_keys_ = 0;
   std::vector<int32_t> pow_;
   int16_t char_rank_[256];
@@ -88,7 +71,7 @@ class DfaProgram {
   int32_t accept_ = 0;
   int32_t dead_ = 0;
   std::vector<uint32_t> rows_;  // (move_mask << 24) | next, state-major
-  std::vector<uint8_t> op_;     // per state: 0 = OP_ROW, 1 = OP_HALT
+  std::vector<uint8_t> op_;     // per state: 1 = halt (accept or dead)
   DfaBuildStats stats_;
 };
 
@@ -106,9 +89,9 @@ struct DfaCompilation {
   static DfaCompilation Of(const Fsa& fsa);
 };
 
-// Reusable per-thread scratch: rank rows for the scalar path plus the
-// lane arrays of the batch path.  Buffers grow on demand and are
-// retained across tuples and batches.  Not thread safe.
+// Reusable per-thread scratch for AcceptBatch: the batch's rank arena
+// and the lane arrays.  Buffers grow on demand and are retained across
+// batches.  Not thread safe.
 class DfaScratch {
  public:
   DfaScratch() = default;
@@ -116,33 +99,28 @@ class DfaScratch {
   DfaScratch& operator=(const DfaScratch&) = delete;
 
  private:
-  friend class DfaProgram;
   friend struct DfaBatchRunner;
 
-  // Encodes one tuple's tapes as rank rows (⊢, chars, ⊣) at
-  // ranks_[rank_off_[i]..], mirroring AcceptScratch's layout, and runs
-  // the arity/alphabet/overflow checks shared with the kernel.
-  Status Prepare(const DfaProgram& program,
-                 const std::vector<std::string>& strings);
+  // Every tuple's tapes as rank rows (⊢, chars, ⊣), back to back.
+  std::vector<int32_t> arena_;
+  std::vector<size_t> tuple_roff_;  // per (tuple, tape): arena offset
 
-  std::vector<int32_t> ranks_;
-  std::vector<int32_t> rank_off_;
-
-  // Batch state (structure-of-arrays, lane-major within each tape).
+  // Lane state (structure-of-arrays, lane-major within each tape).
   std::vector<int32_t> lane_state_;
-  std::vector<int32_t> lane_pos_;    // k × lanes
-  std::vector<int32_t> lane_base_;   // k × lanes: rank-row offsets
+  std::vector<int32_t> lane_pos_;   // k × lanes
+  std::vector<size_t> lane_base_;   // k × lanes: arena offsets
   std::vector<int32_t> lane_tuple_;
-  std::vector<int32_t> tuple_roff_;  // per (tuple, tape) rank offsets
 };
 
-// Batch acceptance: one verdict (or typed error) per tuple plus
-// aggregated chain statistics, same shape as the kernel's AcceptBatch.
+// Decides acceptance of every tuple in `tuples`: one verdict (or typed
+// error) per tuple plus the chain steps of the whole batch.  A batch of
+// one tuple is the per-tuple call.  With a budget, each round charges
+// its lanes' steps; once the budget refuses, every tuple not yet
+// decided fails with the budget's error.
 struct DfaBatchResult {
   std::vector<Status> statuses;
   std::vector<char> accepted;
-  int64_t configurations_visited = 0;
-  int64_t transitions_tried = 0;
+  int64_t configurations_visited = 0;  // chain steps, summed over lanes
 };
 DfaBatchResult AcceptBatch(
     const DfaProgram& program,

@@ -224,20 +224,6 @@ class AcceptScratch {
   std::vector<int32_t> worklist_;
 };
 
-// Batch acceptance: one verdict (or typed error) per input tuple, plus
-// batch-aggregated search stats.  `scratch` is reused across the whole
-// batch; tuple i's verdict lands in accepted[i] iff statuses[i] is OK.
-struct KernelBatchResult {
-  std::vector<Status> statuses;
-  std::vector<char> accepted;
-  int64_t configurations_visited = 0;
-  int64_t transitions_tried = 0;
-};
-KernelBatchResult AcceptBatch(
-    const AcceptKernel& kernel,
-    const std::vector<const std::vector<std::string>*>& tuples,
-    AcceptScratch* scratch, const AcceptOptions& options = {});
-
 }  // namespace strdb
 
 #endif  // STRDB_FSA_KERNEL_H_

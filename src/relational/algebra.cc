@@ -4,7 +4,6 @@
 #include <optional>
 
 #include "fsa/accept.h"
-#include "fsa/codegen/program.h"
 #include "fsa/generate.h"
 
 namespace strdb {
@@ -158,6 +157,17 @@ AlgebraExpr BuildProduct(std::vector<AlgebraExpr> factors) {
   return out;
 }
 
+bool IsGenerateSelect(const AlgebraExpr& select) {
+  std::vector<AlgebraExpr> factors;
+  FlattenProduct(select.Left(), &factors);
+  for (const AlgebraExpr& f : factors) {
+    if (f.kind() == AlgebraExpr::Kind::kSigmaStar) {
+      return select.fsa().FinalStatesHaveNoExits();
+    }
+  }
+  return false;
+}
+
 bool AlgebraExpr::IsFinitelyEvaluable() const {
   switch (kind()) {
     case Kind::kRelation:
@@ -196,11 +206,14 @@ std::string AlgebraExpr::ToString() const {
     case Kind::kSigmaL:
       return "Sigma^" + std::to_string(sigma_l());
     case Kind::kUnion:
-      return "(" + Left().ToString() + " u " + Right().ToString() + ")";
+      return std::string("(") + Left().ToString() + " u " +
+             Right().ToString() + ")";
     case Kind::kDifference:
-      return "(" + Left().ToString() + " \\ " + Right().ToString() + ")";
+      return std::string("(") + Left().ToString() + " \\ " +
+             Right().ToString() + ")";
     case Kind::kProduct:
-      return "(" + Left().ToString() + " x " + Right().ToString() + ")";
+      return std::string("(") + Left().ToString() + " x " +
+             Right().ToString() + ")";
     case Kind::kProject: {
       std::string cols;
       for (size_t i = 0; i < columns().size(); ++i) {
@@ -346,37 +359,15 @@ class AlgebraEvaluatorImpl {
 
   Result<StringRelation> EvalSelect(const AlgebraExpr& e) {
     const Fsa& fsa = e.fsa();
-    std::vector<AlgebraExpr> factors;
-    FlattenProduct(e.Left(), &factors);
-    bool has_star = false;
-    for (const AlgebraExpr& f : factors) {
-      if (f.kind() == AlgebraExpr::Kind::kSigmaStar) has_star = true;
-    }
-    if (!has_star || !fsa.FinalStatesHaveNoExits()) {
+    if (!IsGenerateSelect(e)) {
       // Plain filtering semantics: evaluate the child (Σ* becomes Σ^l)
-      // and keep the accepted tuples.
+      // and keep the tuples the reference BFS accepts.
       STRDB_ASSIGN_OR_RETURN(StringRelation child, Eval(e.Left()));
       StringRelation out(e.arity());
       AcceptOptions accept_opts;
       accept_opts.budget = options_.budget;
-      // The DFA tier, compiled per call (no cache at this layer): a
-      // refusal — two-way machine, head-schedule nondeterminism, subset
-      // blowup — silently drops to the reference BFS.
-      std::optional<DfaProgram> dfa;
-      if (options_.enable_dfa) {
-        Result<DfaProgram> compiled = DfaProgram::Compile(fsa);
-        if (compiled.ok()) dfa.emplace(std::move(compiled).value());
-      }
-      DfaScratch dfa_scratch;
       for (const Tuple& t : child.tuples()) {
-        bool acc;
-        if (dfa.has_value()) {
-          STRDB_ASSIGN_OR_RETURN(AcceptStats stats,
-                                 dfa->Accept(t, &dfa_scratch, accept_opts));
-          acc = stats.accepted;
-        } else {
-          STRDB_ASSIGN_OR_RETURN(acc, Accepts(fsa, t, accept_opts));
-        }
+        STRDB_ASSIGN_OR_RETURN(bool acc, Accepts(fsa, t, accept_opts));
         if (acc) {
           STRDB_RETURN_IF_ERROR(out.Insert(t));
         }
@@ -386,6 +377,8 @@ class AlgebraEvaluatorImpl {
     // The finitely-evaluable form σ_A(F × (Σ*)^n): run the automaton as
     // a generator, with the Σ* columns free and everything else fixed
     // from the materialised factors.
+    std::vector<AlgebraExpr> factors;
+    FlattenProduct(e.Left(), &factors);
     std::vector<std::optional<StringRelation>> values;  // per factor
     std::vector<int> factor_offset;
     int offset = 0;

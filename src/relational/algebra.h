@@ -95,6 +95,12 @@ void FlattenProduct(const AlgebraExpr& e, std::vector<AlgebraExpr>* out);
 // The left-associated product F1 × … × Fm of a non-empty factor list.
 AlgebraExpr BuildProduct(std::vector<AlgebraExpr> factors);
 
+// Whether the selection `select` = σ_A(E) has the finitely-evaluable
+// form σ_A(F1 × … × Fm × (Σ*)^n) that runs A as a generator over the Σ*
+// columns: some product factor of E is Σ* and A's final states have no
+// exits.  Any other selection filters the tuples of E↓l.
+bool IsGenerateSelect(const AlgebraExpr& select);
+
 struct EvalOptions {
   // The truncation length l: every Σ* is read as Σ^l (Theorem 4.2's
   // E↓l semantics) and generated strings are bounded by l.
@@ -121,14 +127,6 @@ struct EvalOptions {
   // plan quality, not correctness.  Not owned; nullptr = recompute from
   // the Database on demand.
   const StatsMap* stats = nullptr;
-  // Run EvalAlgebra's plain-filtering σ_A through the DFA codegen tier
-  // when the automaton admits it (one-way, move-deterministic, within
-  // the subset caps), falling back to the reference BFS otherwise.
-  // Only EvalAlgebra reads it: the engine's tiers are set by
-  // EngineOptions.  Answers are identical either way; differential
-  // oracles pin this to false so the naive evaluator stays an
-  // independent implementation.
-  bool enable_dfa = true;
 };
 
 // Evaluates db(E↓l).  Selections over products containing Σ* factors are

@@ -125,19 +125,27 @@ std::string EncodeRelationStats(const RelationStats& stats) {
   for (const ColumnStats& col : stats.columns) {
     out += "col " + std::to_string(col.total_chars) + " " +
            std::to_string(col.max_len) + "\nhist";
-    for (int64_t h : col.len_hist) out += " " + std::to_string(h);
+    for (int64_t h : col.len_hist) {
+      out += ' ';
+      out += std::to_string(h);
+    }
     int nonzero = 0;
     for (int64_t f : col.char_freq) nonzero += f != 0 ? 1 : 0;
     out += "\nfreq " + std::to_string(nonzero);
     for (int b = 0; b < 256; ++b) {
       if (col.char_freq[static_cast<size_t>(b)] == 0) continue;
-      out += " " + std::to_string(b) + " " +
-             std::to_string(col.char_freq[static_cast<size_t>(b)]);
+      out += ' ';
+      out += std::to_string(b);
+      out += ' ';
+      out += std::to_string(col.char_freq[static_cast<size_t>(b)]);
     }
     out += "\npfx " + std::string(col.prefixes_saturated ? "1" : "0") + " " +
            std::to_string(col.prefixes.size());
     for (const std::string& p : col.prefixes) {
-      out += " " + std::to_string(p.size()) + ":" + p;
+      out += ' ';
+      out += std::to_string(p.size());
+      out += ':';
+      out += p;
     }
     out += "\n";
   }

@@ -34,7 +34,9 @@ std::string AtomicStringFormula::ToString() const {
   }
   s += "]";
   s += (dir == Dir::kLeft) ? "l" : "r";
-  s += "(" + window.ToString() + ")";
+  s += "(";
+  s += window.ToString();
+  s += ")";
   return s;
 }
 
@@ -510,11 +512,13 @@ std::string StringFormula::ToString() const {
     case Kind::kAtomic:
       return atom().ToString();
     case Kind::kConcat:
-      return "(" + Left().ToString() + " . " + Right().ToString() + ")";
+      return std::string("(") + Left().ToString() + " . " +
+             Right().ToString() + ")";
     case Kind::kUnion:
-      return "(" + Left().ToString() + " + " + Right().ToString() + ")";
+      return std::string("(") + Left().ToString() + " + " +
+             Right().ToString() + ")";
     case Kind::kStar:
-      return "(" + Left().ToString() + ")*";
+      return std::string("(") + Left().ToString() + ")*";
   }
   return "?";
 }

@@ -40,7 +40,7 @@ const Alphabet& CaseAlphabet() {
 }
 
 std::string RelName(int client, int j) {
-  return "c" + std::to_string(client) + "r" + std::to_string(j);
+  return std::string("c") + std::to_string(client) + "r" + std::to_string(j);
 }
 
 // 1-4 non-empty arity-1 tuples (the shell grammar cannot spell an empty
@@ -290,7 +290,7 @@ std::optional<Divergence> ChaosTarget::Run(const Case& c) const {
   for (size_t i = 0; i < n; ++i) {
     threads.emplace_back([&, i] {
       ClientOptions options;
-      options.client_id = "c" + std::to_string(i);
+      options.client_id = std::string("c") + std::to_string(i);
       options.max_attempts = 400;
       options.backoff_initial_ms = 1;
       options.backoff_cap_ms = 50;

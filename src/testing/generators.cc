@@ -317,13 +317,16 @@ std::string RandomStringFormulaText(RandomSource& rand, const Alphabet& sigma,
   }
   switch (rand.Range(0, 3)) {
     case 0:
-      return "(" + RandomStringFormulaText(rand, sigma, depth - 1) + " . " +
+      return std::string("(") +
+             RandomStringFormulaText(rand, sigma, depth - 1) + " . " +
              RandomStringFormulaText(rand, sigma, depth - 1) + ")";
     case 1:
-      return "(" + RandomStringFormulaText(rand, sigma, depth - 1) + " + " +
+      return std::string("(") +
+             RandomStringFormulaText(rand, sigma, depth - 1) + " + " +
              RandomStringFormulaText(rand, sigma, depth - 1) + ")";
     default:
-      return "(" + RandomStringFormulaText(rand, sigma, depth - 1) + ")*";
+      return std::string("(") +
+             RandomStringFormulaText(rand, sigma, depth - 1) + ")*";
   }
 }
 

@@ -44,7 +44,8 @@ std::string TupleWords(RandomSource& rand, int min_count, int max_count) {
 
 // Session i's private relation namespace: S<i>R<j>.
 std::string OwnRel(int session, int j) {
-  return "S" + std::to_string(session) + "R" + std::to_string(j);
+  return std::string("S") + std::to_string(session) + "R" +
+         std::to_string(j);
 }
 
 // One command for a disjoint-mode session.  Every shape is allowed to
@@ -430,8 +431,10 @@ DiffTarget::CasePtr ServerDiffTarget::Generate(RandomSource& rand) const {
     for (int i = 0; i < n; ++i) {
       int m = rand.Range(2, 4);
       for (int j = 0; j < m; ++j) {
-        std::string a = "Q" + std::to_string(rand.Range(0, rels - 1));
-        std::string b = "Q" + std::to_string(rand.Range(0, rels - 1));
+        std::string a =
+            std::string("Q") + std::to_string(rand.Range(0, rels - 1));
+        std::string b =
+            std::string("Q") + std::to_string(rand.Range(0, rels - 1));
         c->logs[static_cast<size_t>(i)].push_back(ReadQuery(rand, a, b));
       }
     }

@@ -98,7 +98,10 @@ std::string AlphabetChars(const Alphabet& sigma) {
 std::string EncodeTupleLine(const Tuple& tuple) {
   std::string line = "t";
   for (const std::string& field : tuple) {
-    line += " " + std::to_string(field.size()) + ":" + field;
+    line += ' ';
+    line += std::to_string(field.size());
+    line += ':';
+    line += field;
   }
   return line;
 }
@@ -398,6 +401,14 @@ bool BudgetedOutcomeSound(const Result<AcceptStats>& unbudgeted,
   return OutcomesAgree(unbudgeted, budgeted);
 }
 
+// Tuple `i` of a DFA batch run, as the Result the other tiers return.
+Result<AcceptStats> BatchOutcome(const DfaBatchResult& batch, size_t i) {
+  if (!batch.statuses[i].ok()) return batch.statuses[i];
+  AcceptStats stats;
+  stats.accepted = batch.accepted[i] != 0;
+  return stats;
+}
+
 ResourceBudget MakeStepBudget(int64_t max_steps) {
   ResourceLimits limits;
   limits.max_steps = max_steps;
@@ -500,7 +511,8 @@ std::optional<Divergence> DfaDiffTarget::Run(const Case& c) const {
                       kernel.status().ToString()};
   }
 
-  // Scalar three-way parity, unbudgeted.
+  // Three-way parity, unbudgeted: each tuple alone, then the whole case
+  // as one batch (lane refill and per-tuple errors inside a batch).
   std::vector<Result<AcceptStats>> reference_out;
   for (const Tuple& tuple : dc.tuples) {
     Result<AcceptStats> reference = AcceptsWithStats(dc.fsa, tuple);
@@ -512,7 +524,8 @@ std::optional<Divergence> DfaDiffTarget::Run(const Case& c) const {
                         DescribeStatus(fast) + "\n" + dc.fsa.ToString()};
     }
     if (dfa.ok()) {
-      Result<AcceptStats> compiled = dfa->Accept(tuple, &dfa_scratch_);
+      Result<AcceptStats> compiled =
+          BatchOutcome(AcceptBatch(*dfa, {&tuple}, &dfa_scratch_), 0);
       if (!OutcomesAgree(reference, compiled)) {
         return Divergence{"DFA disagrees with reference on tuple " +
                           QuoteTuple(tuple) + ": reference=" +
@@ -522,32 +535,17 @@ std::optional<Divergence> DfaDiffTarget::Run(const Case& c) const {
     }
     reference_out.push_back(std::move(reference));
   }
-
-  // Batch interpreter parity: one AcceptBatch over the whole case must
-  // reproduce the scalar outcomes tuple by tuple.
-  if (dfa.ok() && !dc.tuples.empty()) {
-    std::vector<const Tuple*> batch;
-    for (const Tuple& tuple : dc.tuples) batch.push_back(&tuple);
+  std::vector<const Tuple*> batch;
+  for (const Tuple& tuple : dc.tuples) batch.push_back(&tuple);
+  if (dfa.ok() && !batch.empty()) {
     DfaBatchResult batched = AcceptBatch(*dfa, batch, &dfa_scratch_);
     for (size_t i = 0; i < dc.tuples.size(); ++i) {
-      const Result<AcceptStats>& reference = reference_out[i];
-      bool agree;
-      if (reference.ok() != batched.statuses[i].ok()) {
-        agree = false;
-      } else if (reference.ok()) {
-        agree = (batched.accepted[i] != 0) == reference->accepted;
-      } else {
-        agree = reference.status().code() == batched.statuses[i].code();
-      }
-      if (!agree) {
-        return Divergence{
-            "DFA batch disagrees with scalar on tuple " +
-            QuoteTuple(dc.tuples[i]) + ": reference=" +
-            DescribeStatus(reference) + " batch=" +
-            (batched.statuses[i].ok()
-                 ? std::string(batched.accepted[i] ? "accept" : "reject")
-                 : batched.statuses[i].ToString()) +
-            "\n" + dc.fsa.ToString()};
+      Result<AcceptStats> outcome = BatchOutcome(batched, i);
+      if (!OutcomesAgree(reference_out[i], outcome)) {
+        return Divergence{"DFA batch disagrees with reference on tuple " +
+                          QuoteTuple(dc.tuples[i]) + ": reference=" +
+                          DescribeStatus(reference_out[i]) + " batch=" +
+                          DescribeStatus(outcome) + "\n" + dc.fsa.ToString()};
       }
     }
   }
@@ -574,8 +572,8 @@ std::optional<Divergence> DfaDiffTarget::Run(const Case& c) const {
         ResourceBudget budget = MakeStepBudget(dc.budget_steps);
         AcceptOptions options;
         options.budget = &budget;
-        Result<AcceptStats> budgeted =
-            dfa->Accept(tuple, &dfa_scratch_, options);
+        Result<AcceptStats> budgeted = BatchOutcome(
+            AcceptBatch(*dfa, {&tuple}, &dfa_scratch_, options), 0);
         if (!BudgetedOutcomeSound(reference_out[i], budgeted)) {
           return Divergence{"budgeted DFA neither agrees nor exhausts on "
                             "tuple " +
@@ -585,24 +583,18 @@ std::optional<Divergence> DfaDiffTarget::Run(const Case& c) const {
         }
       }
     }
-    if (dfa.ok() && !dc.tuples.empty()) {
+    if (dfa.ok() && !batch.empty()) {
       ResourceBudget budget = MakeStepBudget(dc.budget_steps);
       AcceptOptions options;
       options.budget = &budget;
-      std::vector<const Tuple*> batch;
-      for (const Tuple& tuple : dc.tuples) batch.push_back(&tuple);
       DfaBatchResult batched = AcceptBatch(*dfa, batch, &dfa_scratch_, options);
       for (size_t i = 0; i < dc.tuples.size(); ++i) {
-        AcceptStats stats;
-        stats.accepted = batched.accepted[i] != 0;
-        Result<AcceptStats> as_result =
-            batched.statuses[i].ok() ? Result<AcceptStats>(stats)
-                                     : Result<AcceptStats>(batched.statuses[i]);
-        if (!BudgetedOutcomeSound(reference_out[i], as_result)) {
+        Result<AcceptStats> outcome = BatchOutcome(batched, i);
+        if (!BudgetedOutcomeSound(reference_out[i], outcome)) {
           return Divergence{"budgeted DFA batch neither agrees nor exhausts "
                             "on tuple " +
                             QuoteTuple(dc.tuples[i]) + ": " +
-                            DescribeStatus(as_result) + "\n" +
+                            DescribeStatus(outcome) + "\n" +
                             dc.fsa.ToString()};
         }
       }
@@ -933,9 +925,6 @@ EvalOptions EngineSweepOptions() {
   options.truncation = 2;
   options.max_tuples = 20000;
   options.max_steps = 5'000'000;
-  // The naive evaluator is this target's oracle: keep it on the
-  // reference BFS so it stays independent of the tier under test.
-  options.enable_dfa = false;
   return options;
 }
 
@@ -1807,8 +1796,6 @@ EvalOptions PagerSweepOptions() {
   options.truncation = 3;
   options.max_tuples = 20000;
   options.max_steps = 5'000'000;
-  // Both naive routes are oracles here; pin them to the reference BFS.
-  options.enable_dfa = false;
   return options;
 }
 

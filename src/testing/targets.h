@@ -63,9 +63,9 @@ class KernelDiffTarget : public DiffTarget {
 // Case: a random k-FSA (compiled formulas, raw random machines and the
 // deliberate 2^n subset-blowup family), a batch of tuples, an optional
 // per-evaluator step budget and an optional forced subset-construction
-// cap.  Three-way oracle: on machines the DFA tier compiles, the
-// bytecode interpreter (scalar AND batch), the CSR kernel and the
-// reference BFS must agree on verdicts and typed-error codes; machines
+// cap.  Three-way oracle: on machines the DFA tier compiles, its batch
+// interpreter (per tuple AND over the whole case), the CSR kernel and
+// the reference BFS must agree on verdicts and typed-error codes; machines
 // it refuses must be refused with exactly kUnimplemented (outside the
 // one-way move-deterministic class) or kResourceExhausted (past the
 // caps) — the codes the engine's fallback ladder silently catches.  A

@@ -184,7 +184,8 @@ TEST(ArtifactCacheTest, ByteBoundHoldsAndEvictsLeastRecentlyUsed) {
   // Room for roughly three payloads.
   ArtifactCache cache(3 * cost + 3 * 64);
   for (int i = 0; i < 20; ++i) {
-    ASSERT_TRUE(cache.PutGenerated("k" + std::to_string(i), payload).ok());
+    ASSERT_TRUE(
+        cache.PutGenerated(std::string("k") + std::to_string(i), payload).ok());
     EXPECT_LE(cache.stats().bytes_in_use, cache.max_bytes());
   }
   ArtifactCache::Stats stats = cache.stats();
@@ -780,6 +781,56 @@ TEST(PlannerTest, EstimateRowsCountsRelationsAndDomains) {
             0.0);
 }
 
+// σ_A(R × Σ*) runs A as a generator, once per tuple of R: its estimate
+// is |R| times a fan-out (one answer per tuple until feedback exists),
+// not a selectivity over R × Σ^{<=l}.  Here y longer than l = 4
+// generates nothing, so 5 of R's 8 tuples answer; the first estimate
+// is within 10x, and the recorded fan-out moves the next one toward the
+// actual count.
+TEST(PlannerTest, GenerateSelectEstimatesByFanOut) {
+  Alphabet sigma = Alphabet::Binary();
+  Database db(sigma);
+  ASSERT_TRUE(db.Put("R", 1,
+                     {{"a"}, {"ab"}, {"ba"}, {"bbb"}, {"abab"}, {"aaaaa"},
+                      {"bbbbbb"}, {"ababab"}})
+                  .ok());
+  Fsa eq = Compile("([x,y]l(x = y))* . [x,y]l(x = y = ~)", sigma, {"y", "x"});
+  const std::string key = ArtifactCache::FsaKey(eq);
+  Result<AlgebraExpr> query = AlgebraExpr::Select(
+      AlgebraExpr::Product(AlgebraExpr::Relation("R", 1),
+                           AlgebraExpr::SigmaStar()),
+      std::move(eq));
+  ASSERT_TRUE(query.ok()) << query.status();
+  ASSERT_TRUE(IsGenerateSelect(*query));
+
+  Engine engine;
+  double previous_error = 0;
+  for (int run = 0; run < 2; ++run) {
+    ExecStats stats;
+    Result<StringRelation> out = engine.Execute(*query, db, kOpts, &stats);
+    ASSERT_TRUE(out.ok()) << out.status();
+    ASSERT_EQ(stats.operators[0].op, "gen-select") << stats.plan;
+    const double est = stats.operators[0].est;
+    const int64_t act = stats.operators[0].act;
+    EXPECT_EQ(act, 5);
+    EXPECT_TRUE(std::isfinite(est));
+    EXPECT_LE(est, 10.0 * static_cast<double>(act)) << stats.plan;
+    EXPECT_GE(est, static_cast<double>(act) / 10.0) << stats.plan;
+    const double error = std::abs(est - static_cast<double>(act));
+    if (run == 0) {
+      EXPECT_DOUBLE_EQ(est, 8.0);
+    } else {
+      EXPECT_LT(error, previous_error) << stats.plan;
+    }
+    previous_error = error;
+  }
+  double fanout = 0;
+  ASSERT_TRUE(engine.feedback().Lookup(GenerateFanoutKey(key), &fanout));
+  EXPECT_DOUBLE_EQ(fanout, 5.0 / 8.0);
+  // The filter's key over the same machine stays untouched.
+  EXPECT_FALSE(engine.feedback().Lookup(key, &fanout));
+}
+
 TEST(EngineTest, CostPlannerAgreesWithWrittenOrderAndNaive) {
   Alphabet sigma = Alphabet::Binary();
   FsaPool pool = testgen::MakeFsaPool(sigma);
@@ -792,7 +843,6 @@ TEST(EngineTest, CostPlannerAgreesWithWrittenOrderAndNaive) {
   opts.truncation = 2;
   opts.max_tuples = 20000;
   opts.max_steps = 5'000'000;
-  opts.enable_dfa = false;  // keep the naive oracle on the reference BFS
   for (int trial = 0; trial < 100; ++trial) {
     Database db = testgen::RandomDatabase(rand, sigma);
     if (trial % 2 == 0) {

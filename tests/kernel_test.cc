@@ -165,8 +165,7 @@ TEST(KernelDifferentialTest, EndmarkerAndEmptyStringEdges) {
 }
 
 // Typed-error parity: bad arity and foreign characters are
-// kInvalidArgument from both deciders, batch calls report them per
-// tuple, and verdict slots stay meaningful for the OK tuples.
+// kInvalidArgument from both deciders.
 TEST(KernelDifferentialTest, InvalidInputsMatchOracleTyping) {
   Alphabet sigma = Alphabet::Binary();
   Result<StringFormula> f =
@@ -187,18 +186,6 @@ TEST(KernelDifferentialTest, InvalidInputsMatchOracleTyping) {
     EXPECT_EQ(oracle.status().code(), fast.status().code());
     EXPECT_EQ(fast.status().code(), StatusCode::kInvalidArgument);
   }
-
-  std::vector<std::string> good = {"ab", "ab"};
-  std::vector<std::string> bad = {"ab", "qq"};
-  std::vector<const std::vector<std::string>*> batch = {&good, &bad, &good};
-  KernelBatchResult out = AcceptBatch(*kernel, batch, &scratch);
-  ASSERT_EQ(out.statuses.size(), 3u);
-  EXPECT_TRUE(out.statuses[0].ok());
-  EXPECT_EQ(out.statuses[1].code(), StatusCode::kInvalidArgument);
-  EXPECT_TRUE(out.statuses[2].ok());
-  EXPECT_EQ(out.accepted[0], 1);
-  EXPECT_EQ(out.accepted[2], 1);
-  EXPECT_GT(out.configurations_visited, 0);
 }
 
 // Budget exhaustion surfaces as the same typed error from both

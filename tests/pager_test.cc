@@ -19,11 +19,17 @@
 
 #include "calculus/query.h"
 #include "core/io/env.h"
+#include "core/budget.h"
 #include "core/io/fault_env.h"
+#include "engine/engine.h"
+#include "fsa/compile.h"
+#include "relational/algebra.h"
 #include "relational/relation.h"
 #include "storage/heap.h"
 #include "storage/pager.h"
 #include "storage/store.h"
+#include "strform/parser.h"
+#include "testing/corpus.h"
 
 namespace strdb {
 namespace {
@@ -226,7 +232,9 @@ TEST(BufferPoolTest, PinnedPagesSurviveEvictionAndClear) {
   std::string dir = FreshDir("pool_pinned");
   std::string path = dir + "/pages";
   std::string file;
-  for (int i = 0; i < 4; ++i) AppendPage("p" + std::to_string(i), &file);
+  for (int i = 0; i < 4; ++i) {
+    AppendPage(std::string("p") + std::to_string(i), &file);
+  }
   WriteAll(path, file);
 
   BufferPoolOptions options;
@@ -728,6 +736,108 @@ TEST(PagerCrashSweepTest, SpillingCheckpointRecoversACommittedPrefix) {
   EXPECT_GE(points, 100);
   std::cout << "pager-crash-sweep: points=" << points << " exact=" << exact
             << " one-past=" << one_past << "\n";
+}
+
+// --- σ over a spilled relation ----------------------------------------------
+
+Fsa CompileFormula(const char* text) {
+  Result<StringFormula> f = ParseStringFormula(text);
+  EXPECT_TRUE(f.ok()) << f.status();
+  Result<Fsa> fsa = CompileStringFormula(*f, Alphabet::Binary());
+  EXPECT_TRUE(fsa.ok()) << fsa.status();
+  return *std::move(fsa);
+}
+
+// The streamed σ and the materialising σ share one acceptance driver.
+// Over a spilled relation whose scan batches exceed parallel_threshold,
+// each tier — the DFA (equality), the kernel (concatenation, which the
+// DFA refuses) and the reference BFS (concatenation, kernel off) — must
+// give the unpaged route's answer and the naive evaluator's, on one
+// thread and on four.  A step budget that runs out mid-stream must fail
+// typed on both routes.
+TEST(StreamedSelectTest, EveryTierMatchesUnpagedAndNaive) {
+  constexpr int64_t kRows = 1200;
+  Database memory(Alphabet::Binary());
+  std::vector<Tuple> pairs, triples;
+  for (int64_t i = 0; i < kRows; ++i) {
+    const std::string x = BitString(i, 11);
+    pairs.push_back({x, i % 2 == 0 ? x : BitString(kRows + i, 11)});
+    const std::string y = BitString(i, 11);
+    const std::string z = BitString(i % 5, 3);
+    triples.push_back({i % 3 == 0 ? y + z : BitString(i, 14), y, z});
+  }
+  ASSERT_TRUE(memory.Put("P", 2, pairs).ok());
+  ASSERT_TRUE(memory.Put("T", 3, triples).ok());
+
+  std::string dir = FreshDir("streamed_select");
+  BufferPool pool(BufferPoolOptions{});
+  PagedSet paged;
+  for (const char* name : {"P", "T"}) {
+    const std::string path = dir + "/" + name;
+    Result<const StringRelation*> rel = memory.Get(name);
+    ASSERT_TRUE(rel.ok());
+    ASSERT_TRUE(WritePagedHeap(Env::Posix(), path, **rel).ok());
+    auto heap = PagedHeap::Open(&pool, path);
+    ASSERT_TRUE(heap.ok()) << heap.status();
+    EXPECT_GT((*heap)->tuple_count(), 2 * kScanBatchMinRows);
+    paged[name] = *heap;
+  }
+  const Database spilled(Alphabet::Binary());  // P and T live only on disk
+
+  struct Case {
+    const char* label;
+    const char* relation;
+    int arity;
+    const char* formula;
+    bool enable_kernel;
+    int64_t answers;
+  };
+  const Case cases[] = {
+      {"dfa", "P", 2, testgen::kEqualityText, true, kRows / 2},
+      {"kernel", "T", 3, testgen::kConcatText, true, kRows / 3},
+      {"bfs", "T", 3, testgen::kConcatText, false, kRows / 3},
+  };
+  for (const Case& c : cases) {
+    Result<AlgebraExpr> expr = AlgebraExpr::Select(
+        AlgebraExpr::Relation(c.relation, c.arity), CompileFormula(c.formula));
+    ASSERT_TRUE(expr.ok()) << expr.status();
+    EvalOptions naive_opts;
+    Result<StringRelation> naive = EvalAlgebra(*expr, memory, naive_opts);
+    ASSERT_TRUE(naive.ok()) << naive.status();
+    ASSERT_EQ(naive->size(), c.answers) << c.label;
+
+    for (int threads : {1, 4}) {
+      SCOPED_TRACE(std::string(c.label) + ", " + std::to_string(threads) +
+                   " threads");
+      int64_t steps = 0;
+      for (bool stream : {true, false}) {
+        EngineOptions engine_opts;
+        engine_opts.num_threads = threads;
+        engine_opts.enable_kernel = c.enable_kernel;
+        engine_opts.enable_paged = stream;
+        Engine engine(engine_opts);
+        EvalOptions opts;
+        opts.paged = &paged;
+        ExecStats stats;
+        Result<StringRelation> out =
+            engine.Execute(*expr, spilled, opts, &stats);
+        ASSERT_TRUE(out.ok()) << out.status();
+        EXPECT_EQ(*out, *naive) << (stream ? "streamed" : "unpaged");
+        EXPECT_NE(stats.plan.find("paged-scan"), std::string::npos);
+        if (steps == 0) steps = stats.fsa_steps;
+        EXPECT_EQ(stats.fsa_steps, steps) << "the two routes run one driver";
+
+        ResourceLimits limits;
+        limits.max_steps = steps / 2;
+        ResourceBudget budget(limits);
+        opts.budget = &budget;
+        Result<StringRelation> starved = engine.Execute(*expr, spilled, opts);
+        ASSERT_FALSE(starved.ok()) << (stream ? "streamed" : "unpaged");
+        EXPECT_EQ(starved.status().code(), StatusCode::kResourceExhausted)
+            << starved.status();
+      }
+    }
+  }
 }
 
 }  // namespace
