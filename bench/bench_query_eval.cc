@@ -17,7 +17,7 @@
 //
 // E24 (query side) — σ_A filtering of a materialised relation through
 // the engine's three acceptance tiers (reference BFS, CSR kernel, DFA
-// batch interpreter; EngineOptions::enable_kernel / enable_dfa), on a
+// batch interpreter; EngineOptions::max_tier), on a
 // concatenation workload the DFA tier refuses (fallback-overhead
 // check) and an equality workload it serves.  `--json[=PATH]` (default
 // BENCH_query_eval.json) writes the machine-readable comparison;
@@ -274,7 +274,7 @@ void BM_FilterSelect(benchmark::State& state, bool enable_kernel) {
   EvalOptions opts;
   opts.truncation = 64;
   EngineOptions eopts;
-  eopts.enable_kernel = enable_kernel;
+  eopts.max_tier = enable_kernel ? AcceptTier::kDfa : AcceptTier::kBfs;
   Engine engine(eopts);
   if (!engine.Execute(query, db, opts).ok()) std::abort();
   int64_t answers = 0;
@@ -336,11 +336,9 @@ Result<QueryEvalRow> MeasureQueryEval(const std::string& name,
                                       const EvalOptions& opts, int tuples,
                                       bool quick) {
   EngineOptions reference_opts;
-  reference_opts.enable_kernel = false;
-  reference_opts.enable_dfa = false;
+  reference_opts.max_tier = AcceptTier::kBfs;
   EngineOptions kernel_opts;
-  kernel_opts.enable_kernel = true;
-  kernel_opts.enable_dfa = false;
+  kernel_opts.max_tier = AcceptTier::kKernel;
   EngineOptions dfa_opts;  // defaults: kernel + DFA, the served config
   Engine reference_engine(reference_opts);
   Engine kernel_engine(kernel_opts);

@@ -144,25 +144,47 @@ class CalcTranslator {
                                std::move(fsa));
   }
 
+  // Joins the columns of `e`, the i-th of which holds variable
+  // vars[i], into one column per distinct variable, ascending: the
+  // partition join F ⋈ B of Theorem 4.2.  With every variable distinct
+  // the partition's σ would accept every tuple, so only the ascending
+  // column order is left to restore.
+  Result<AlgebraExpr> JoinColumns(AlgebraExpr e,
+                                  const std::vector<std::string>& vars) {
+    std::set<std::string> distinct(vars.begin(), vars.end());
+    std::vector<std::vector<int>> blocks;
+    for (const std::string& v : distinct) {
+      std::vector<int> block;
+      for (size_t i = 0; i < vars.size(); ++i) {
+        if (vars[i] == v) block.push_back(static_cast<int>(i));
+      }
+      blocks.push_back(std::move(block));
+    }
+    if (distinct.size() < vars.size()) {
+      return JoinByPartition(std::move(e), blocks, alphabet_,
+                             options_.compile);
+    }
+    std::vector<int> columns;
+    for (const std::vector<int>& block : blocks) columns.push_back(block[0]);
+    return AlgebraExpr::Project(std::move(e), std::move(columns));
+  }
+
   Result<AlgebraExpr> TranslateRelAtom(const CalcFormula& f) {
     const int n = static_cast<int>(f.args().size());
     AlgebraExpr rel = AlgebraExpr::Relation(f.relation(), n);
     if (n == 0) return rel;
-    // Blocks: one per distinct variable, ascending, holding its
-    // occurrence positions.
-    std::set<std::string> distinct(f.args().begin(), f.args().end());
-    std::vector<std::vector<int>> blocks;
-    for (const std::string& v : distinct) {
-      std::vector<int> block;
-      for (int i = 0; i < n; ++i) {
-        if (f.args()[static_cast<size_t>(i)] == v) block.push_back(i);
-      }
-      blocks.push_back(std::move(block));
-    }
-    STRDB_ASSIGN_OR_RETURN(
-        AlgebraExpr joined,
-        JoinByPartition(std::move(rel), blocks, alphabet_, options_.compile));
     // The paper's ∩ (Σ*)^m, which under ↓l bounds the answer strings.
+    // It sits on the scan when the atom only orders columns, so that
+    // the ordering π composes with those above it, and above a partition
+    // join, whose σ then reads the scan itself (a spilled relation
+    // streams through it).
+    const std::set<std::string> distinct(f.args().begin(), f.args().end());
+    if (distinct.size() == f.args().size()) {
+      return JoinColumns(AlgebraExpr::RestrictToDomain(std::move(rel)),
+                         f.args());
+    }
+    STRDB_ASSIGN_OR_RETURN(AlgebraExpr joined,
+                           JoinColumns(std::move(rel), f.args()));
     return AlgebraExpr::RestrictToDomain(std::move(joined));
   }
 
@@ -203,15 +225,7 @@ class CalcTranslator {
     STRDB_ASSIGN_OR_RETURN(AlgebraExpr sel,
                            AlgebraExpr::Select(std::move(child),
                                                std::move(fsa)));
-    // Reorder to ascending variable order over the union.
-    std::vector<std::string> union_vars = tape_order;
-    std::sort(union_vars.begin(), union_vars.end());
-    std::vector<int> columns;
-    for (const std::string& v : union_vars) {
-      auto it = std::find(tape_order.begin(), tape_order.end(), v);
-      columns.push_back(static_cast<int>(it - tape_order.begin()));
-    }
-    return AlgebraExpr::Project(std::move(sel), std::move(columns));
+    return JoinColumns(std::move(sel), tape_order);
   }
 
   // Guarded negation: φ ∧ ¬ψ with free(ψ) = free(φ) is the difference
@@ -241,49 +255,13 @@ class CalcTranslator {
     }
     STRDB_ASSIGN_OR_RETURN(AlgebraExpr left, Translate(f.Left()));
     STRDB_ASSIGN_OR_RETURN(AlgebraExpr right, Translate(f.Right()));
-    std::vector<std::string> lv = f.Left().FreeVars();
+    // A nullary side is {()} or ∅, so the product keeps or cancels the
+    // other side's tuples.
+    std::vector<std::string> vars = f.Left().FreeVars();
     std::vector<std::string> rv = f.Right().FreeVars();
-    if (lv.empty() && rv.empty()) {
-      // Boolean conjunction of two nullary values: intersection.
-      return AlgebraExpr::Intersect(std::move(left), std::move(right));
-    }
-    if (lv.empty()) {
-      // left is {()} or ∅: emptiness gates the right side.  E = right ×
-      // left would reorder columns for nullary, but × with arity 0
-      // simply keeps/cancels tuples, so the product works directly.
-      return AlgebraExpr::Product(std::move(right), std::move(left));
-    }
-    if (rv.empty()) {
-      return AlgebraExpr::Product(std::move(left), std::move(right));
-    }
-    AlgebraExpr product = AlgebraExpr::Product(std::move(left),
-                                               std::move(right));
-    std::vector<std::string> combined = lv;
-    combined.insert(combined.end(), rv.begin(), rv.end());
-    std::set<std::string> distinct(combined.begin(), combined.end());
-    if (distinct.size() == combined.size()) {
-      // No shared variable: nothing to join (the all-singleton partition
-      // would be a σ accepting every tuple), only the ascending column
-      // order to restore.
-      if (std::is_sorted(combined.begin(), combined.end())) return product;
-      std::vector<int> columns;
-      for (const std::string& v : distinct) {
-        columns.push_back(static_cast<int>(
-            std::find(combined.begin(), combined.end(), v) -
-            combined.begin()));
-      }
-      return AlgebraExpr::Project(std::move(product), std::move(columns));
-    }
-    std::vector<std::vector<int>> blocks;
-    for (const std::string& v : distinct) {
-      std::vector<int> block;
-      for (size_t i = 0; i < combined.size(); ++i) {
-        if (combined[i] == v) block.push_back(static_cast<int>(i));
-      }
-      blocks.push_back(std::move(block));
-    }
-    return JoinByPartition(std::move(product), blocks, alphabet_,
-                           options_.compile);
+    vars.insert(vars.end(), rv.begin(), rv.end());
+    return JoinColumns(AlgebraExpr::Product(std::move(left), std::move(right)),
+                       vars);
   }
 
   Result<AlgebraExpr> TranslateNot(const CalcFormula& f) {

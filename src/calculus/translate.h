@@ -21,8 +21,10 @@ struct TranslateOptions {
 // of `f` whose columns are equal within every block of the ordered
 // partition `blocks` (0-based column indices, disjoint, covering f's
 // arity), then projects to one representative column per block (the
-// block minimum), in block order.  The equality test is the string
-// formula ([c0..ca]l ⋀_j ⋀_{i∈Bj} c_i = c_minBj)* · [c0..ca]l
+// block minimum), in block order; for all-singleton blocks in column
+// order that projection is the identity, and the result is the σ.
+// The equality test is the string formula
+// ([c0..ca]l ⋀_j ⋀_{i∈Bj} c_i = c_minBj)* · [c0..ca]l
 // (c_0 = ... = c_a = ε), compiled to an FSA selection.
 Result<AlgebraExpr> JoinByPartition(AlgebraExpr f,
                                     const std::vector<std::vector<int>>& blocks,

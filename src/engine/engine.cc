@@ -371,10 +371,12 @@ class Executor {
   }
 
   // Fetches (or compiles) the acceptance kernel for `node`'s automaton.
-  // Returns nullptr when the kernel is disabled or uncompilable, in
+  // Returns nullptr when max_tier is below it or it does not compile, in
   // which case the caller falls back to the reference BFS.
   Result<std::shared_ptr<const AcceptKernel>> KernelFor(PlanNode* node) {
-    if (!engine_options_.enable_kernel) return std::shared_ptr<const AcceptKernel>();
+    if (engine_options_.max_tier < AcceptTier::kKernel) {
+      return std::shared_ptr<const AcceptKernel>();
+    }
     if (cache_ != nullptr) {
       std::string key = node->fsa_key + "\n|kernel";
       std::shared_ptr<const AcceptKernel> kernel = cache_->GetKernel(key);
@@ -394,8 +396,8 @@ class Executor {
   }
 
   // σ_A's acceptance tier, resolved once per σ: the DFA program when
-  // the tier is on and admits the machine, else the kernel when it is
-  // on and compiles, else neither (the reference BFS).
+  // max_tier allows it and it admits the machine, else the kernel when
+  // max_tier allows it and it compiles, else neither (the reference BFS).
   struct Tier {
     std::shared_ptr<const DfaProgram> dfa;
     std::shared_ptr<const AcceptKernel> kernel;
@@ -403,7 +405,7 @@ class Executor {
 
   Result<Tier> TierFor(PlanNode* node) {
     Tier tier;
-    if (engine_options_.enable_dfa) {
+    if (engine_options_.max_tier == AcceptTier::kDfa) {
       // Planning may already have looked the artifact up.
       if (node->dfa == nullptr) {
         STRDB_ASSIGN_OR_RETURN(node->dfa,
@@ -832,7 +834,7 @@ Result<std::shared_ptr<PlanNode>> Engine::Plan(const AlgebraExpr& expr,
     STRDB_ASSIGN_OR_RETURN(target,
                            RewriteExpr(expr, cost_ctx, options_.rewrites));
   }
-  Planner planner(cost_ctx, options, options_.enable_dfa);
+  Planner planner(cost_ctx, options, options_.max_tier == AcceptTier::kDfa);
   return planner.Lower(target);
 }
 
@@ -850,8 +852,6 @@ Result<StringRelation> Engine::Execute(const AlgebraExpr& expr,
   Result<const StringRelation*> result = executor.Eval(root.get());
   int64_t wall_ns = ElapsedNs(start);
   metrics.wall_us->Record(wall_ns / 1000);
-  std::set<const PlanNode*> seen;
-  RecordSelectivities(*root, &seen, &feedback_);
   if (!result.ok()) {
     // The plan nodes keep whatever counters the partial run accumulated,
     // so a budget-exhausted query is still fully observable.
@@ -864,6 +864,10 @@ Result<StringRelation> Engine::Execute(const AlgebraExpr& expr,
     }
     return result.status();
   }
+  // Only a finished run teaches selectivities: an operator cut short
+  // by the budget has seen its input but not produced all its output.
+  std::set<const PlanNode*> seen;
+  RecordSelectivities(*root, &seen, &feedback_);
   StringRelation out = **result;
   metrics.rows->Record(out.size());
   if (stats != nullptr) {

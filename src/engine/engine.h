@@ -15,6 +15,9 @@
 
 namespace strdb {
 
+// σ_A acceptance tiers, slowest first.
+enum class AcceptTier : uint8_t { kBfs, kKernel, kDfa };
+
 struct EngineOptions {
   // Run the rewrite pipeline (engine/rewrite) before lowering.
   bool enable_rewrites = true;
@@ -25,20 +28,16 @@ struct EngineOptions {
   // Byte bound of the artifact cache (LRU-evicted; <= 0 picks the
   // default).  The bound holds at all times, not just between queries.
   int64_t cache_max_bytes = ArtifactCache::kDefaultMaxBytes;
-  // Run σ_A filters through the compiled acceptance kernel
-  // (fsa/kernel): CSR-indexed transitions, a one-way fast path and
-  // reusable per-thread scratch.  Off = every tuple runs the reference
-  // Theorem 3.3 BFS (AcceptsWithStats); answers are identical either
-  // way, only speed differs.
-  bool enable_kernel = true;
-  // Route σ_A filters through the DFA codegen tier (fsa/dfa +
-  // fsa/codegen) when the automaton is one-way and move-deterministic:
-  // subset-constructed, minimised and run by the 64-lane batch
-  // interpreter.  Machines outside the class — or past the
-  // subset-construction caps — silently fall back to the CSR kernel
-  // (and the kernel to the reference BFS), so the fallback ladder is
-  // DFA → kernel → BFS and answers are identical at every rung.
-  bool enable_dfa = true;
+  // The fastest σ_A acceptance tier the engine may use.  kBfs is the
+  // reference Theorem 3.3 search (AcceptsWithStats); kKernel adds the
+  // compiled acceptance kernel (fsa/kernel: CSR-indexed transitions, a
+  // one-way fast path, reusable per-thread scratch); kDfa adds the DFA
+  // codegen tier (fsa/dfa + fsa/codegen: one-way move-deterministic
+  // machines subset-constructed, minimised and run by the 64-lane batch
+  // interpreter), whose artifact also licenses hash joins.  A machine a
+  // tier refuses falls to the next one down, so answers are identical
+  // at every setting; only speed differs.
+  AcceptTier max_tier = AcceptTier::kDfa;
   // Partition filter-select inputs across a pool of `num_threads`
   // threads (1 = serial; <= 0 picks hardware_concurrency()).  Inputs
   // smaller than `parallel_threshold` tuples run on the calling thread.

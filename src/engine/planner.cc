@@ -223,7 +223,6 @@ Result<AlgebraExpr> CostBasedReorder(const AlgebraExpr& e,
   rows.reserve(rebuilt.size());
   for (const AlgebraExpr& f : rebuilt) rows.push_back(EstimateRows(f, ctx));
   const std::vector<int> order = DpOrderFactors(rows, ctx.model);
-  if (IsIdentity(order)) return BuildProduct(std::move(rebuilt));
   std::vector<int> restore = RestoreProjection(rebuilt, order);
   std::vector<AlgebraExpr> sorted = ApplyOrder(rebuilt, order);
   return AlgebraExpr::Project(BuildProduct(std::move(sorted)),

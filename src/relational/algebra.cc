@@ -1,5 +1,6 @@
 #include "relational/algebra.h"
 
+#include <algorithm>
 #include <cassert>
 #include <optional>
 
@@ -92,6 +93,16 @@ Result<AlgebraExpr> AlgebraExpr::Project(AlgebraExpr child,
       return Status::InvalidArgument("projection columns must be distinct");
     }
     seen[static_cast<size_t>(c)] = true;
+  }
+  // No plan carries a π that only copies its input: the identity is
+  // its child, and π_a(π_b E) is the single π_{b∘a} E.
+  if (static_cast<int>(columns.size()) == child.arity() &&
+      std::is_sorted(columns.begin(), columns.end())) {
+    return child;
+  }
+  if (child.kind() == Kind::kProject) {
+    for (int& c : columns) c = child.columns()[static_cast<size_t>(c)];
+    return Project(child.Left(), std::move(columns));
   }
   auto node = std::make_shared<Node>();
   node->kind = Kind::kProject;

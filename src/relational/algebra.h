@@ -44,6 +44,8 @@ class AlgebraExpr {
   // E ∩ F, the paper's shorthand for E \ (E \ F).
   static Result<AlgebraExpr> Intersect(AlgebraExpr a, AlgebraExpr b);
   static AlgebraExpr Product(AlgebraExpr a, AlgebraExpr b);
+  // An identity column list returns `child` itself, and a projection
+  // of a projection composes into one.
   static Result<AlgebraExpr> Project(AlgebraExpr child,
                                      std::vector<int> columns);
   static Result<AlgebraExpr> Select(AlgebraExpr child, Fsa fsa);

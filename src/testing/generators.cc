@@ -242,7 +242,11 @@ std::vector<PartitionMachine> MakePartitionMachines(const Alphabet& sigma) {
       AlgebraExpr joined = OrDie(
           JoinByPartition(AlgebraExpr::Relation("_", arity), blocks, sigma),
           "partition machine");
-      out.push_back({arity, std::move(blocks), Fsa(joined.Left().fsa())});
+      // The all-singleton partition's projection is the identity, so
+      // its σ is the whole expression.
+      const AlgebraExpr& selected =
+          joined.kind() == AlgebraExpr::Kind::kSelect ? joined : joined.Left();
+      out.push_back({arity, std::move(blocks), Fsa(selected.fsa())});
     }
   }
   return out;

@@ -121,6 +121,40 @@ TEST(AlgebraTest, ProjectValidation) {
   EXPECT_TRUE(AlgebraExpr::Project(pairs, {}).ok());  // arity-0 projection
 }
 
+// The factory builds no π that only copies its input: the identity
+// returns the child's own node, and π∘π composes into one π.
+TEST(AlgebraTest, ProjectDropsIdentityAndComposes) {
+  Database db = MakeDb();
+  AlgebraExpr triple = AlgebraExpr::Product(
+      AlgebraExpr::Relation("Pairs", 2), AlgebraExpr::Relation("R1", 1));
+  Result<AlgebraExpr> same = AlgebraExpr::Project(triple, {0, 1, 2});
+  ASSERT_TRUE(same.ok());
+  EXPECT_EQ(same->node_identity(), triple.node_identity());
+
+  Result<AlgebraExpr> inner = AlgebraExpr::Project(triple, {2, 0, 1});
+  ASSERT_TRUE(inner.ok());
+  Result<AlgebraExpr> outer = AlgebraExpr::Project(*inner, {2, 0});
+  ASSERT_TRUE(outer.ok());
+  ASSERT_EQ(outer->kind(), AlgebraExpr::Kind::kProject);
+  EXPECT_EQ(outer->columns(), (std::vector<int>{1, 2}));
+  EXPECT_EQ(outer->Left().node_identity(), triple.node_identity());
+  Result<StringRelation> composed = EvalAlgebra(*outer, db, kOpts);
+  Result<StringRelation> direct =
+      EvalAlgebra(*AlgebraExpr::Project(triple, {1, 2}), db, kOpts);
+  ASSERT_TRUE(composed.ok() && direct.ok());
+  EXPECT_EQ(composed->tuples(), direct->tuples());
+
+  // A composition that restores the order cancels both projections.
+  Result<AlgebraExpr> back = AlgebraExpr::Project(*inner, {1, 2, 0});
+  ASSERT_TRUE(back.ok());
+  EXPECT_EQ(back->node_identity(), triple.node_identity());
+
+  // Bad columns are rejected before anything is dropped or composed.
+  EXPECT_FALSE(AlgebraExpr::Project(*inner, {3}).ok());
+  EXPECT_FALSE(AlgebraExpr::Project(*inner, {0, 0}).ok());
+  EXPECT_FALSE(AlgebraExpr::Project(triple, {0, 1, 1}).ok());
+}
+
 TEST(AlgebraTest, ProjectToArityZero) {
   Database db = MakeDb();
   Result<AlgebraExpr> proj =

@@ -313,8 +313,12 @@ TEST(RewriteTest, PushdownPullsDisregardedFactorsOut) {
   Result<AlgebraExpr> rewritten =
       RewriteExpr(*sel, PlannerContext(db, &stats), only_pushdown);
   ASSERT_TRUE(rewritten.ok()) << rewritten.status();
-  // The selection now reads only the Pairs columns; R1 joins outside it.
-  EXPECT_EQ(rewritten->kind(), AlgebraExpr::Kind::kProject);
+  // The selection now reads only the Pairs columns; R1 joins outside it,
+  // already in the original column order, so no π restores it.
+  ASSERT_EQ(rewritten->kind(), AlgebraExpr::Kind::kProduct);
+  ASSERT_EQ(rewritten->Left().kind(), AlgebraExpr::Kind::kSelect);
+  EXPECT_EQ(rewritten->Left().Left().ToString(), "Pairs");
+  EXPECT_EQ(rewritten->Left().arity(), 2);
   EXPECT_EQ(rewritten->arity(), sel->arity());
   Result<StringRelation> before = EvalAlgebra(*sel, db, kOpts);
   Result<StringRelation> after = EvalAlgebra(*rewritten, db, kOpts);
@@ -967,6 +971,50 @@ TEST(EngineTest, HashJoinFeedsBackSelectivityOverTheProduct) {
   double learned = 0;
   ASSERT_TRUE(engine.feedback().Lookup(key, &learned));
   EXPECT_DOUBLE_EQ(learned, 2.0 / 16.0);
+}
+
+// Only a finished run teaches the planner: a σ cut short by the step
+// budget has read its input but produced no output, and recording that
+// as a selectivity of ~0 would skew every later plan.
+TEST(EngineTest, ExhaustedRunsLeaveLearnedSelectivityAlone) {
+  Alphabet sigma = Alphabet::Binary();
+  Database db(sigma);
+  RngSource rng(7);
+  std::set<std::string> words;
+  while (words.size() < 400) words.insert(rng.String(sigma, 6, 12));
+  std::vector<Tuple> pairs;
+  for (const std::string& w : words) {
+    pairs.push_back({w, pairs.size() % 2 == 0 ? w : w + "a"});
+  }
+  ASSERT_TRUE(db.Put("Pairs", 2, std::move(pairs)).ok());
+  Fsa eq = Compile("([x,y]l(x = y))* . [x,y]l(x = ~ & y = ~)", sigma,
+                   {"x", "y"});
+  const std::string key = ArtifactCache::FsaKey(eq);
+  Result<AlgebraExpr> query =
+      AlgebraExpr::Select(AlgebraExpr::Relation("Pairs", 2), std::move(eq));
+  ASSERT_TRUE(query.ok()) << query.status();
+
+  Engine engine;
+  Result<StringRelation> full = engine.Execute(*query, db, kOpts);
+  ASSERT_TRUE(full.ok()) << full.status();
+  ASSERT_EQ(full->size(), 200);
+  double learned = 0;
+  ASSERT_TRUE(engine.feedback().Lookup(key, &learned));
+  EXPECT_DOUBLE_EQ(learned, 0.5);
+
+  for (int run = 0; run < 3; ++run) {
+    ResourceLimits limits;
+    limits.max_steps = 500;
+    ResourceBudget budget(limits);
+    EvalOptions opts = kOpts;
+    opts.budget = &budget;
+    Result<StringRelation> starved = engine.Execute(*query, db, opts);
+    ASSERT_FALSE(starved.ok());
+    EXPECT_EQ(starved.status().code(), StatusCode::kResourceExhausted);
+  }
+  double after = 0;
+  ASSERT_TRUE(engine.feedback().Lookup(key, &after));
+  EXPECT_DOUBLE_EQ(after, 0.5);
 }
 
 }  // namespace

@@ -315,9 +315,11 @@ TEST(KernelDifferentialTest, WideOneWayAutomatonUsesFallbackCorrectly) {
   EXPECT_LT(accepts, 5 * 8);
 }
 
-// Engine-level parity: the same σ_A filter evaluated with the kernel
-// on, the kernel off and by the naive evaluator returns the same
-// relation, and the kernel is compiled once then hit in the cache.
+// Engine-level parity: the same σ_A filter evaluated with the kernel as
+// the top tier, with the reference BFS only and by the naive evaluator
+// returns the same relation, and the kernel is compiled once then hit
+// in the cache.  The equality machine is one the DFA tier admits, so
+// max_tier keeps that tier out of both engines.
 TEST(KernelEngineTest, FilterSelectMatchesWithKernelOnAndOff) {
   Alphabet sigma = Alphabet::Binary();
   Database db(sigma);
@@ -340,8 +342,9 @@ TEST(KernelEngineTest, FilterSelectMatchesWithKernelOnAndOff) {
   opts.truncation = 10;
 
   EngineOptions with_kernel;
+  with_kernel.max_tier = AcceptTier::kKernel;
   EngineOptions without_kernel;
-  without_kernel.enable_kernel = false;
+  without_kernel.max_tier = AcceptTier::kBfs;
   Engine fast_engine(with_kernel);
   Engine slow_engine(without_kernel);
   ExecStats stats;
@@ -354,6 +357,13 @@ TEST(KernelEngineTest, FilterSelectMatchesWithKernelOnAndOff) {
   EXPECT_EQ(fast->tuples(), naive->tuples());
   EXPECT_EQ(slow->tuples(), naive->tuples());
   EXPECT_GT(fast->size(), 0);
+  // Each engine ran the tier it was capped at: the kernel engine cached a
+  // kernel and no DFA, the BFS engine neither.
+  const std::string key = ArtifactCache::FsaKey(*eq);
+  EXPECT_NE(fast_engine.cache().GetKernel(key + "\n|kernel"), nullptr);
+  EXPECT_EQ(fast_engine.cache().GetDfa(key + "\n|dfa"), nullptr);
+  EXPECT_EQ(slow_engine.cache().GetKernel(key + "\n|kernel"), nullptr);
+  EXPECT_EQ(slow_engine.cache().GetDfa(key + "\n|dfa"), nullptr);
 
   // Second run: the compiled kernel is an artifact-cache hit.
   ExecStats warm;

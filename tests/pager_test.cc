@@ -751,7 +751,7 @@ Fsa CompileFormula(const char* text) {
 // The streamed σ and the materialising σ share one acceptance driver.
 // Over a spilled relation whose scan batches exceed parallel_threshold,
 // each tier — the DFA (equality), the kernel (concatenation, which the
-// DFA refuses) and the reference BFS (concatenation, kernel off) — must
+// DFA refuses) and the reference BFS (concatenation, max_tier kBfs) — must
 // give the unpaged route's answer and the naive evaluator's, on one
 // thread and on four.  A step budget that runs out mid-stream must fail
 // typed on both routes.
@@ -789,13 +789,13 @@ TEST(StreamedSelectTest, EveryTierMatchesUnpagedAndNaive) {
     const char* relation;
     int arity;
     const char* formula;
-    bool enable_kernel;
+    AcceptTier max_tier;
     int64_t answers;
   };
   const Case cases[] = {
-      {"dfa", "P", 2, testgen::kEqualityText, true, kRows / 2},
-      {"kernel", "T", 3, testgen::kConcatText, true, kRows / 3},
-      {"bfs", "T", 3, testgen::kConcatText, false, kRows / 3},
+      {"dfa", "P", 2, testgen::kEqualityText, AcceptTier::kDfa, kRows / 2},
+      {"kernel", "T", 3, testgen::kConcatText, AcceptTier::kDfa, kRows / 3},
+      {"bfs", "T", 3, testgen::kConcatText, AcceptTier::kBfs, kRows / 3},
   };
   for (const Case& c : cases) {
     Result<AlgebraExpr> expr = AlgebraExpr::Select(
@@ -813,7 +813,7 @@ TEST(StreamedSelectTest, EveryTierMatchesUnpagedAndNaive) {
       for (bool stream : {true, false}) {
         EngineOptions engine_opts;
         engine_opts.num_threads = threads;
-        engine_opts.enable_kernel = c.enable_kernel;
+        engine_opts.max_tier = c.max_tier;
         engine_opts.enable_paged = stream;
         Engine engine(engine_opts);
         EvalOptions opts;

@@ -1,6 +1,17 @@
 #include <gtest/gtest.h>
 
+#include <fstream>
+#include <iterator>
+#include <map>
+#include <regex>
+#include <string>
+#include <vector>
+
 #include "calculus/query.h"
+#include "calculus/translate.h"
+#include "engine/rewrite.h"
+#include "engine/stats.h"
+#include "fsa/serialize.h"
 
 namespace strdb {
 namespace {
@@ -189,6 +200,105 @@ TEST(QueryTest, AnswerStabilisesAtInferredTruncation) {
   Result<StringRelation> below = q->ExecuteTruncated(db, 2);
   ASSERT_TRUE(below.ok());
   EXPECT_LT(below->size(), at_w->size());
+}
+
+// --- plan shape --------------------------------------------------------------
+
+// Every `"query": "..."` template text of the benchmark's workloads.
+std::vector<std::string> BenchmarkTemplates() {
+  std::ifstream in(STRDB_PERFBENCH_WORKLOADS);
+  EXPECT_TRUE(in.good()) << STRDB_PERFBENCH_WORKLOADS;
+  const std::string text((std::istreambuf_iterator<char>(in)),
+                         std::istreambuf_iterator<char>());
+  const std::regex query("\"query\": \"([^\"]*)\"");
+  std::vector<std::string> out;
+  for (auto it = std::sregex_iterator(text.begin(), text.end(), query);
+       it != std::sregex_iterator(); ++it) {
+    out.push_back((*it)[1]);
+  }
+  return out;
+}
+
+// Appends why `e` carries an operator that does nothing: an identity π,
+// a π directly over a π, or a σ whose machine is `universal[arity]`, the
+// partition join of all-distinct columns that accepts every tuple.
+void FindNoOps(const AlgebraExpr& e,
+               const std::map<int, std::string>& universal,
+               std::vector<std::string>* found) {
+  using Kind = AlgebraExpr::Kind;
+  if (e.kind() == Kind::kProject) {
+    std::vector<int> identity(static_cast<size_t>(e.Left().arity()));
+    for (size_t i = 0; i < identity.size(); ++i) {
+      identity[i] = static_cast<int>(i);
+    }
+    if (e.columns() == identity) found->push_back("identity π");
+    if (e.Left().kind() == Kind::kProject) found->push_back("π over π");
+  }
+  if (e.kind() == Kind::kSelect) {
+    auto it = universal.find(e.arity());
+    if (it != universal.end() && SerializeFsa(e.fsa()) == it->second) {
+      found->push_back("universal atom σ");
+    }
+  }
+  switch (e.kind()) {
+    case Kind::kRelation:
+    case Kind::kSigmaStar:
+    case Kind::kSigmaL:
+      return;
+    case Kind::kUnion:
+    case Kind::kDifference:
+    case Kind::kProduct:
+      FindNoOps(e.Right(), universal, found);
+      [[fallthrough]];
+    default:
+      FindNoOps(e.Left(), universal, found);
+  }
+}
+
+TEST(PlanShapeTest, BenchmarkTemplatesPlanWithoutNoOpOperators) {
+  Database db(Alphabet::Binary());
+  ASSERT_TRUE(db.Put("P", 2, {{"ab", "ab"}, {"ab", "ba"}}).ok());
+  ASSERT_TRUE(db.Put("S", 2, {{"ab", "ab"}, {"a", "ba"}}).ok());
+  ASSERT_TRUE(db.Put("T", 3, {{"ab", "a", "b"}, {"a", "b", "a"}}).ok());
+  for (const char* name : {"R", "A", "B", "Q"}) {
+    ASSERT_TRUE(db.Put(name, 1, {{"ab"}, {"b"}, {"bba"}}).ok());
+  }
+  std::map<int, std::string> universal;
+  for (int arity = 1; arity <= 3; ++arity) {
+    std::vector<std::vector<int>> singletons;
+    for (int c = 0; c < arity; ++c) singletons.push_back({c});
+    Result<AlgebraExpr> joined = JoinByPartition(
+        AlgebraExpr::Relation("_", arity), singletons, db.alphabet());
+    ASSERT_TRUE(joined.ok()) << joined.status();
+    const AlgebraExpr& selected = joined->kind() == AlgebraExpr::Kind::kSelect
+                                      ? *joined
+                                      : joined->Left();
+    universal[arity] = SerializeFsa(selected.fsa());
+  }
+
+  const std::vector<std::string> templates = BenchmarkTemplates();
+  ASSERT_GE(templates.size(), 7u);
+  for (const std::string& text : templates) {
+    SCOPED_TRACE(text);
+    Result<Query> q = Query::Parse(text, db.alphabet());
+    ASSERT_TRUE(q.ok()) << q.status();
+    StatsCatalog stats;
+    CostPlannerContext ctx;
+    ctx.db = &db;
+    ctx.stats = &stats;
+    Result<AlgebraExpr> rewritten = RewriteExpr(q->plan(), ctx);
+    ASSERT_TRUE(rewritten.ok()) << rewritten.status();
+    for (const AlgebraExpr& plan : {q->plan(), *rewritten}) {
+      std::vector<std::string> found;
+      FindNoOps(plan, universal, &found);
+      EXPECT_TRUE(found.empty()) << found.front() << " in " << plan.ToString();
+    }
+  }
+
+  // A disjoint conjunction is the bare product of its restricted scans.
+  Result<Query> product = Query::Parse("x, y | A(x) & B(y)", db.alphabet());
+  ASSERT_TRUE(product.ok()) << product.status();
+  EXPECT_EQ(product->plan().ToString(), "(restrict(A) x restrict(B))");
 }
 
 }  // namespace

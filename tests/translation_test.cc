@@ -57,6 +57,32 @@ TEST(TranslationTest, RepeatedVariableAtom) {
   ExpectTranslationAgrees(P("R1(x,x)"), MakeDb());
 }
 
+// An atom gets Theorem 4.2's partition σ only where a variable repeats:
+// with distinct variables that σ would accept every tuple, so the atom
+// is its restricted scan, reordered where the columns would not ascend.
+TEST(TranslationTest, AtomsSelectOnlyOnRepeatedVariables) {
+  Database db = MakeDb();
+  Result<AlgebraExpr> xy = CalcToAlgebra(P("R1(x,y)"), db.alphabet());
+  ASSERT_TRUE(xy.ok()) << xy.status();
+  EXPECT_EQ(xy->ToString(), "restrict(R1)");
+  ExpectTranslationAgrees(P("R1(x,y)"), db);
+
+  Result<AlgebraExpr> yx = CalcToAlgebra(P("R1(y,x)"), db.alphabet());
+  ASSERT_TRUE(yx.ok()) << yx.status();
+  EXPECT_EQ(yx->ToString(), "pi[1,0](restrict(R1))");
+  ExpectTranslationAgrees(P("R1(y,x)"), db);
+
+  // The partition join reads the scan itself; the restriction bounds
+  // its one column.
+  Result<AlgebraExpr> xx = CalcToAlgebra(P("R1(x,x)"), db.alphabet());
+  ASSERT_TRUE(xx.ok()) << xx.status();
+  ASSERT_EQ(xx->kind(), AlgebraExpr::Kind::kRestrict) << xx->ToString();
+  ASSERT_EQ(xx->Left().kind(), AlgebraExpr::Kind::kProject);
+  EXPECT_EQ(xx->Left().columns(), (std::vector<int>{0}));
+  ASSERT_EQ(xx->Left().Left().kind(), AlgebraExpr::Kind::kSelect);
+  EXPECT_EQ(xx->Left().Left().Left().ToString(), "R1");
+}
+
 TEST(TranslationTest, StringFormulaLeaf) {
   ExpectTranslationAgrees(P("([x,y]l(x = y))* . [x,y]l(x = y = ~)"),
                           MakeDb());
